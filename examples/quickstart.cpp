@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
 
   // 0. (--graph-out FILE [--graph-engine NAME]) dump the named engine's
-  //    dataflow topology as Graphviz and exit. The rebased engines
+  //    dataflow topology as Graphviz and exit. The graph-backed engines
   //    (detect_only, continuous, mpdt, adavp) export the executable wiring
-  //    the run below actually schedules; the legacy engines (realtime,
+  //    the run below actually schedules; the loop-based engines (realtime,
   //    marlin, offload) export a descriptive diagram of their loop.
   //    Render with `dot -Tsvg engine.dot -o engine.svg`.
   const std::string graph_out = args.get("graph-out", "");

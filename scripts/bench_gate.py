@@ -59,12 +59,6 @@ GUARDS = [
     # same-report timings are scale-invariant (smoke and full both count).
     ("gate.avx2_pyramid_speedup", ">=", 1.5),
     ("gate.avx2_lk_speedup", ">=", 1.5),
-    # Dataflow-graph engines (BENCH_GRAPH.json, DESIGN.md §16): running the
-    # rebased engines through the core::graph scheduler instead of the
-    # legacy loops must cost at most 5% wall-clock on MPDT (the deepest
-    # graph). Min-of-interleaved-reps, so the bound holds without a noise
-    # margin; a same-report ratio is scale-invariant.
-    ("gate.graph_overhead_ratio", "<=", 1.05),
 ]
 
 # Direction per metric leaf name: -1 lower is better, +1 higher is better.
@@ -95,7 +89,6 @@ DIRECTION = {
     "deadline_miss_rate": -1,
     "avx2_pyramid_speedup": 1,
     "avx2_lk_speedup": 1,
-    "graph_overhead_ratio": -1,
     "overhead_ratio": -1,
 }
 
@@ -115,7 +108,6 @@ SCALE_INVARIANT = {
     "speedup",
     "avx2_pyramid_speedup",
     "avx2_lk_speedup",
-    "graph_overhead_ratio",
     "overhead_ratio",
 }
 

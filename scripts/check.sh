@@ -52,13 +52,6 @@ else
 fi
 
 if [ "$preset" = "release" ]; then
-  # Graph-vs-legacy engine backends (DESIGN.md §16): the equivalence suite
-  # runs once per backend — graph is the build default, so rerun it with
-  # the legacy loops forced and the same golden digests must hold.
-  echo "==> test_engine_equivalence (ADAVP_GRAPH_ENGINES=0)"
-  ADAVP_GRAPH_ENGINES=0 ctest --test-dir build -R test_engine_equivalence \
-    --output-on-failure
-
   echo "==> bench_pipeline --smoke"
   ./build/bench/bench_pipeline --smoke --out=build/BENCH_PIPELINE.smoke.json
 
@@ -86,16 +79,6 @@ if [ "$preset" = "release" ]; then
   echo "==> bench_gate (fleet chaos)"
   python3 scripts/bench_gate.py build/BENCH_FLEET.chaos.json \
     ${BENCH_FLEET_CHAOS_BASELINE:+--baseline "$BENCH_FLEET_CHAOS_BASELINE"}
-
-  # Graph-dispatch overhead gate (DESIGN.md §16): executing the rebased
-  # engines as dataflow graphs must cost <= 5% wall-clock over the retained
-  # legacy loops (min of interleaved reps; digests must match or the bench
-  # itself fails).
-  echo "==> bench_graph --smoke"
-  ./build/bench/bench_graph --smoke --out=build/BENCH_GRAPH.smoke.json
-  echo "==> bench_gate (graph)"
-  python3 scripts/bench_gate.py build/BENCH_GRAPH.smoke.json \
-    ${BENCH_GRAPH_BASELINE:+--baseline "$BENCH_GRAPH_BASELINE"}
 
   # SIMD tier gate (DESIGN.md §14): sweeps every compiled ISA tier (the
   # "dispatched isa:" line shows what this host resolves to) and enforces

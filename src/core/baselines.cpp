@@ -158,49 +158,11 @@ RunResult run_detect_only(const video::SyntheticVideo& video,
                             .slo = options.slo});
   if (ctx.frame_count == 0) return std::move(ctx.run);
 
-  if (graph::graph_engines_enabled()) {
-    // The engine as a graph spec: camera -> detector -> sink ring (see
-    // build_detect_only_graph). Byte-identical to the loop below, pinned by
-    // tests/test_engine_equivalence.cpp with either backend forced.
-    graph::Graph g = graph::build_detect_only_graph(ctx, options.setting);
-    const Status status = g.run();
-    if (!status.ok()) ctx.fail("detect-only engine: " + status.message());
-    ctx.finish();
-    return std::move(ctx.run);
-  }
-
-  try {
-    int index = 0;
-    double t = ctx.capture_time_ms(0);
-    while (true) {
-      detect::DetectionResult det;
-      {
-        obs::ScopedSpan detect_span("detect", "detector", index);
-        det = ctx.detect_on_gpu(index, options.setting);
-      }
-      t += det.latency_ms;
-      ctx.record_detection(index, det, options.setting, t);
-      ctx.run.cycles.push_back(
-          {index, options.setting, t - det.latency_ms, t, 0, 0, 0.0});
-      if (obs::Telemetry::enabled()) {
-        obs::MetricsRegistry& reg = obs::metrics();
-        reg.counter("detect_only", "cycles").add();
-        reg.latency_histogram("detect_only", "cycle_ms").record(det.latency_ms);
-      }
-      if (index >= ctx.last) break;
-      int next = ctx.newest_captured(t);
-      if (next <= index) {
-        next = index + 1;
-        t = ctx.capture_time_ms(next);
-      }
-      index = next;
-      ctx.clock->set(t);
-    }
-    ctx.clock->set(t);
-  } catch (const std::exception& e) {
-    ctx.fail(std::string("detect-only engine: ") + e.what());
-  }
-
+  // The engine as a graph spec: camera -> detector -> sink ring (see
+  // build_detect_only_graph).
+  graph::Graph g = graph::build_detect_only_graph(ctx, options.setting);
+  const Status status = g.run();
+  if (!status.ok()) ctx.fail("detect-only engine: " + status.message());
   ctx.finish();
   return std::move(ctx.run);
 }
@@ -214,45 +176,12 @@ RunResult run_continuous(const video::SyntheticVideo& video,
                             .slo = options.slo});
   if (ctx.frame_count == 0) return std::move(ctx.run);
 
-  const double cpu_w = energy::PowerModel::cpu_feed_w(options.setting);
-
-  if (graph::graph_engines_enabled()) {
-    // Linear camera -> detector -> sink chain; the free-running camera is
-    // paced by bounded-queue backpressure instead of a for-loop.
-    graph::Graph g = graph::build_continuous_graph(ctx, options.setting, cpu_w);
-    const Status status = g.run();
-    if (!status.ok()) ctx.fail("continuous engine: " + status.message());
-    const double graph_processing_ms = ctx.clock->now_ms();
-    ctx.finish();
-    ctx.run.latency_multiplier =
-        graph_processing_ms /
-        (static_cast<double>(ctx.frame_count) * ctx.interval_ms);
-    return std::move(ctx.run);
-  }
-
-  try {
-    for (int i = 0; i < ctx.frame_count; ++i) {
-      detect::DetectionResult det;
-      {
-        obs::ScopedSpan detect_span("detect", "detector", i);
-        det = ctx.detect_on_gpu(i, options.setting, /*continuous=*/true);
-      }
-      ctx.meter.add_cpu_busy(cpu_w, det.latency_ms);
-      ctx.clock->occupy(det.latency_ms);
-      const double t = ctx.clock->now_ms();
-      ctx.record_detection(i, det, options.setting, t);
-      ctx.run.cycles.push_back(
-          {i, options.setting, t - det.latency_ms, t, 0, 0, 0.0});
-      if (obs::Telemetry::enabled()) {
-        obs::MetricsRegistry& reg = obs::metrics();
-        reg.counter("continuous", "cycles").add();
-        reg.latency_histogram("continuous", "cycle_ms").record(det.latency_ms);
-      }
-    }
-  } catch (const std::exception& e) {
-    ctx.fail(std::string("continuous engine: ") + e.what());
-  }
-
+  // Linear camera -> detector -> sink chain; the free-running camera is
+  // paced by bounded-queue backpressure (see build_continuous_graph).
+  graph::Graph g = graph::build_continuous_graph(
+      ctx, options.setting, energy::PowerModel::cpu_feed_w(options.setting));
+  const Status status = g.run();
+  if (!status.ok()) ctx.fail("continuous engine: " + status.message());
   const double processing_ms = ctx.clock->now_ms();
   ctx.finish();
   // Continuous mode reports how much *longer* than the video the

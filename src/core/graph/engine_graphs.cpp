@@ -1,6 +1,5 @@
 #include "core/graph/engine_graphs.h"
 
-#include <cstdlib>
 #include <string>
 
 #include "energy/power_model.h"
@@ -9,19 +8,6 @@
 namespace adavp::core::graph {
 
 namespace {
-
-std::optional<bool>& forced_toggle() {
-  static std::optional<bool> forced;
-  return forced;
-}
-
-bool env_toggle() {
-  const char* env = std::getenv("ADAVP_GRAPH_ENGINES");
-  if (env == nullptr) return true;
-  const std::string value(env);
-  return !(value == "0" || value == "off" || value == "false" ||
-           value == "OFF" || value == "no");
-}
 
 /// Port-and-name-only node for the descriptive diagrams of engines that
 /// still run their hard-coded loops (marlin / realtime / offload). Never
@@ -118,16 +104,6 @@ Graph descriptive_offload() {
 
 }  // namespace
 
-bool graph_engines_enabled() {
-  if (forced_toggle().has_value()) return *forced_toggle();
-  static const bool enabled = env_toggle();
-  return enabled;
-}
-
-void force_graph_engines_for_testing(std::optional<bool> enabled) {
-  forced_toggle() = enabled;
-}
-
 Graph build_detect_only_graph(EngineContext& ctx,
                               detect::ModelSetting setting) {
   Graph g;
@@ -189,7 +165,7 @@ std::string engine_topology_dot(const std::string& engine) {
   if (engine == "realtime") return descriptive_realtime().to_dot();
   if (engine == "offload") return descriptive_offload().to_dot();
 
-  // The rebased engines export their *executable* wiring: build the real
+  // The graph-backed engines export their *executable* wiring: build the real
   // graph over a throwaway one-frame context and dump it without running.
   video::SceneConfig config;
   config.width = 64;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "core/graph/graph.h"
@@ -8,18 +7,11 @@
 
 namespace adavp::core::graph {
 
-/// Whether the rebased engines (detect-only, continuous, MPDT/AdaVP) run on
-/// the core::graph scheduler (the default) or on the retained legacy loops.
-/// Env toggle: ADAVP_GRAPH_ENGINES=0|off|false selects legacy — this is the
-/// switch CI uses to guard graph-vs-legacy byte-identity.
-bool graph_engines_enabled();
-
-/// Test hook overriding the env toggle in-process (nullopt restores it).
-/// Lets one test run both backends back to back and compare digests.
-void force_graph_engines_for_testing(std::optional<bool> enabled);
-
 /// The engine ring topologies, declarative graph specs over one
-/// EngineContext. Builders only wire; the caller runs. The context must
+/// EngineContext. These are the only implementation of the detect-only,
+/// continuous and MPDT/AdaVP engines: run_detect_only / run_continuous /
+/// run_mpdt build one, run it, and annotate a failed Status with the
+/// engine name. Builders only wire; the caller runs. The context must
 /// outlive the graph.
 ///
 /// detect-only:  camera -> detector -> sink -(tick)-> camera
@@ -37,10 +29,10 @@ Graph build_mpdt_graph(EngineContext& ctx, detect::ModelSetting setting,
 
 /// Graphviz topology for any engine by name ("mpdt", "adavp",
 /// "detect_only", "continuous", "marlin", "realtime", "offload"). The three
-/// rebased engines export their real executable wiring; the legacy engines
-/// export a descriptive diagram of their hard-coded loop so `quickstart
-/// --graph-out` covers the whole engine table. Throws GraphError on an
-/// unknown engine name.
+/// graph-backed engines export their real executable wiring; the loop-based
+/// engines export a descriptive diagram of their hard-coded loop so
+/// `quickstart --graph-out` covers the whole engine table. Throws GraphError
+/// on an unknown engine name.
 std::string engine_topology_dot(const std::string& engine);
 
 }  // namespace adavp::core::graph

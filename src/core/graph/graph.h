@@ -27,14 +27,14 @@ namespace adavp::core::graph {
 /// time. Each step activates the most-downstream runnable node — nodes are
 /// scanned in *reverse insertion order* (builders add nodes source-first,
 /// sink-last, so sinks drain before sources produce), which keeps queues
-/// shallow and reproduces the legacy engines' one-cycle-at-a-time
-/// interleave exactly. A node is runnable when every required input has a
-/// packet queued, every connected output edge has room (backpressure), and
-/// — for a source — it is not exhausted. The run ends when no node is
-/// runnable: with all required-input queues empty that is completion
-/// (latest-wins leftovers on *optional* inputs are dropped); with packets
-/// stranded on required inputs it is a stall, reported as a failed Status
-/// rather than a hang. Because activation order is a pure function
+/// shallow and runs an engine ring one cycle at a time — the interleave the
+/// engine golden digests pin. A node is runnable when every required input
+/// has a packet queued, every connected output edge has room
+/// (backpressure), and — for a source — it is not exhausted. The run ends
+/// when no node is runnable: with all required-input queues empty that is
+/// completion (latest-wins leftovers on *optional* inputs are dropped); with
+/// packets stranded on required inputs it is a stall, reported as a failed
+/// Status rather than a hang. Because activation order is a pure function
 /// of the wiring, runs are bit-identical per seed regardless of host,
 /// repeat, or thread count — node-internal data parallelism (vision
 /// kernels, frame rendering) rides the shared util::ThreadPool, which is

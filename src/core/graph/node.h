@@ -12,7 +12,7 @@ class Graph;
 class NodeRun;
 
 /// A declared connection point on a node. `type == nullptr` means the port
-/// is payload-agnostic (the resampler throttles any stream); otherwise the
+/// is payload-agnostic (the descriptive diagrams' stub nodes); otherwise the
 /// graph rejects wiring two ports whose declared types disagree.
 struct PortSpec {
   std::string name;

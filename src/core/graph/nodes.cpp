@@ -1,5 +1,6 @@
 #include "core/graph/nodes.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -46,7 +47,7 @@ void CameraSourceNode::process(NodeRun& run) {
 
   // The detector fetches the newest frame captured by the time the previous
   // cycle finished; when it outpaced the camera it waits for the next
-  // capture (legacy loops' wait branch, verbatim).
+  // capture.
   int next = ctx_.newest_captured(done.t_ms);
   double start = done.t_ms;
   if (next <= done.index) {
@@ -54,25 +55,6 @@ void CameraSourceNode::process(NodeRun& run) {
     start = ctx_.capture_time_ms(next);
   }
   run.emit(frame_out_, FrameTicket{next, start, setting_, false}, start);
-}
-
-// --- PacketResamplerNode -----------------------------------------------------
-
-PacketResamplerNode::PacketResamplerNode(std::string name, double period_ms)
-    : Node(std::move(name)), period_ms_(period_ms) {
-  in_ = declare_input_any("in");
-  out_ = declare_output_any("out");
-}
-
-void PacketResamplerNode::process(NodeRun& run) {
-  Packet p = run.take(in_);
-  if (p.ts_ms() >= next_emit_ms_) {
-    next_emit_ms_ = p.ts_ms() + period_ms_;
-    ++passed_;
-    run.emit(out_, std::move(p));
-  } else {
-    ++dropped_;  // p goes out of scope here, releasing its payload
-  }
 }
 
 // --- AdapterNode -------------------------------------------------------------
@@ -110,34 +92,6 @@ void AdapterNode::process(NodeRun& run) {
       }
     }
     ticket.setting = setting_;
-  }
-  run.emit(frame_out_, ticket, p.ts_ms());
-}
-
-// --- DegradationNode ---------------------------------------------------------
-
-DegradationNode::DegradationNode(LadderOptions options)
-    : Node("degradation"), ladder_(options) {
-  frame_in_ = declare_input<FrameTicket>("frame");
-  overrun_in_ = declare_input<OverrunSignal>("overrun", /*optional=*/true);
-  frame_out_ = declare_output<FrameTicket>("frame");
-}
-
-void DegradationNode::process(NodeRun& run) {
-  Packet p = run.take(frame_in_);
-  FrameTicket ticket = p.get<FrameTicket>();
-  int overruns = 0;
-  for (Packet o = run.try_take(overrun_in_); !o.empty();
-       o = run.try_take(overrun_in_)) {
-    ++overruns;
-  }
-  if (overruns > 0) {
-    for (int i = 0; i < overruns; ++i) ladder_.on_overrun();
-  } else {
-    ladder_.on_success();
-  }
-  if (!ladder_.tracker_only()) {
-    ticket.setting = ladder_.apply(ticket.setting);
   }
   run.emit(frame_out_, ticket, p.ts_ms());
 }
@@ -195,7 +149,7 @@ void TrackerCatchupNode::process(NodeRun& run) {
     out.frames_between = batch.frames_between;
     out.tracked = batch.tracked;
     // A cycle whose batch was fully cancelled reports the last measured
-    // velocity (legacy: `velocity_steps > 0 ? mean : previous_velocity`).
+    // velocity.
     out.report_velocity =
         batch.velocity_steps > 0 ? batch.mean_velocity : prev_velocity_;
   }
@@ -229,8 +183,8 @@ void SinkNode::process(NodeRun& run) {
       const DetectionEvent& ev = p.get<DetectionEvent>();
       const double t = ev.ticket.start_ms + ev.det.latency_ms;
       ctx_.record_detection(ev.ticket.index, ev.det, ev.ticket.setting, t);
-      // `t - latency` (not start_ms): replicates the legacy loop's
-      // `t += latency; ... t - latency` float arithmetic bit-for-bit.
+      // `t - latency` (not start_ms): the cycle start the golden digests
+      // pin is the rounded `(start + latency) - latency`.
       ctx_.run.cycles.push_back(
           {ev.ticket.index, ev.ticket.setting, t - ev.det.latency_ms, t, 0, 0,
            0.0});

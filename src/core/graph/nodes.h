@@ -1,11 +1,8 @@
 #pragma once
 
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "adapt/adapter.h"
-#include "core/degradation.h"
 #include "core/engine_runtime.h"
 #include "core/graph/node.h"
 #include "detect/detector.h"
@@ -15,10 +12,8 @@ namespace adavp::core::graph {
 // --- packet payloads ---------------------------------------------------------
 // The typed vocabulary the engine graphs speak. All payloads are small value
 // types; frame *pixels* never ride the engine streams — nodes fetch them
-// through EngineContext::frame() so camera-fault billing stays exactly where
-// the legacy loops put it. (FrameRef payloads are first-class Packet citizens
-// too — the resampler is payload-agnostic and tests pin that dropping a
-// FrameRef packet releases the frame buffer immediately.)
+// through EngineContext::frame() so camera-fault billing stays on the frame
+// fetch the golden digests pin.
 
 /// A frame the detector should process next: which frame, when the cycle
 /// starts, and at what model setting.
@@ -27,8 +22,7 @@ struct FrameTicket {
   double start_ms = 0.0;
   detect::ModelSetting setting = detect::ModelSetting::kYolov3_512;
   /// The prologue cycle (frame 0, nothing to track yet). The adapter passes
-  /// it through untouched and the MPDT sink logs no cycle metrics for it,
-  /// mirroring the legacy loop's pre-loop detection.
+  /// it through untouched and the MPDT sink logs no cycle metrics for it.
   bool initial = false;
 };
 
@@ -58,9 +52,6 @@ struct CycleTick {
 struct VelocitySample {
   double velocity = 0.0;
 };
-
-/// A watchdog overrun report (DegradationNode input).
-struct OverrunSignal {};
 
 // --- calculator library ------------------------------------------------------
 
@@ -95,29 +86,6 @@ class CameraSourceNode : public Node {
   int frame_out_ = -1;
 };
 
-/// Cadence throttle, the MediaPipe PacketResamplerCalculator equivalent:
-/// payload-agnostic — passes a packet when at least `period_ms` of stream
-/// time elapsed since the last passed one, drops it otherwise. Dropping
-/// releases the packet's payload immediately (a dropped FrameRef returns
-/// its buffer to the pool).
-class PacketResamplerNode : public Node {
- public:
-  PacketResamplerNode(std::string name, double period_ms);
-
-  void process(NodeRun& run) override;
-
-  std::uint64_t passed() const { return passed_; }
-  std::uint64_t dropped() const { return dropped_; }
-
- private:
-  const double period_ms_;
-  double next_emit_ms_ = std::numeric_limits<double>::lowest();
-  std::uint64_t passed_ = 0;
-  std::uint64_t dropped_ = 0;
-  int in_ = -1;
-  int out_ = -1;
-};
-
 /// Model adaptation (§IV-D3): input "frame" plus an optional "velocity"
 /// feedback stream from the tracker. Each non-initial ticket is re-stamped
 /// with the adapter's current setting; when a velocity sample has arrived,
@@ -142,32 +110,11 @@ class AdapterNode : public Node {
   int frame_out_ = -1;
 };
 
-/// Graceful-degradation cap over the ticket stream: optional "overrun"
-/// signals step the DegradationLadder down, overrun-free tickets step it
-/// back up (hysteresis inside the ladder); each ticket's setting is capped
-/// to the current level. Precondition: the ladder never reaches the
-/// tracker-only floor in a detector-fed graph (the realtime engine handles
-/// coasting out-of-band).
-class DegradationNode : public Node {
- public:
-  explicit DegradationNode(LadderOptions options = {});
-
-  void process(NodeRun& run) override;
-
-  const DegradationLadder& ladder() const { return ladder_; }
-
- private:
-  DegradationLadder ladder_;
-  int frame_in_ = -1;
-  int overrun_in_ = -1;
-  int frame_out_ = -1;
-};
-
 /// One fault-wrapped, GPU-billed detection per ticket
 /// (EngineContext::detect_on_gpu). `continuous_power` selects the saturated
-/// no-frame-skipping operating point; `emit_detect_span` reproduces the
-/// legacy baselines' per-detect wall-clock span (the virtual-time MPDT
-/// engine never had one).
+/// no-frame-skipping operating point; `emit_detect_span` opens the
+/// per-detect wall-clock span of the detect-only and continuous baselines
+/// (the virtual-time MPDT engine has none).
 class DetectorNode : public Node {
  public:
   DetectorNode(EngineContext& ctx, bool continuous_power,
@@ -205,11 +152,11 @@ class TrackerCatchupNode : public Node {
   int velocity_out_ = -1;
 };
 
-/// Assembles RunResult exactly the way the legacy loop it replaces did —
-/// records the detection, appends the cycle record, logs the engine's
-/// metrics, advances the run clock — and (in the ring modes) emits the
-/// CycleTick that clocks the camera. One mode per rebased engine so the
-/// recorded float arithmetic replicates each loop's formulas verbatim.
+/// Assembles RunResult: records the detection, appends the cycle record,
+/// logs the engine's metrics, advances the run clock, and (in the ring
+/// modes) emits the CycleTick that clocks the camera. One mode per
+/// graph-backed engine, each with its own float arithmetic for the cycle
+/// times, which the golden digests pin bit-for-bit.
 class SinkNode : public Node {
  public:
   enum class Mode { kDetectOnly, kContinuous, kMpdt };

@@ -1,7 +1,5 @@
 #include "core/mpdt_pipeline.h"
 
-#include <algorithm>
-
 #include "core/graph/engine_graphs.h"
 #include "obs/telemetry.h"
 
@@ -17,96 +15,12 @@ RunResult run_mpdt(const video::SyntheticVideo& video, const MpdtOptions& option
                             .slo = options.slo});
   if (ctx.frame_count == 0) return std::move(ctx.run);
 
-  if (graph::graph_engines_enabled()) {
-    // The engine as a graph spec: camera -> adapter -> detector -> catchup
-    // -> sink ring with a velocity feedback edge (see build_mpdt_graph).
-    // Byte-identical to the loop below, pinned by
-    // tests/test_engine_equivalence.cpp with either backend forced.
-    graph::Graph g = graph::build_mpdt_graph(ctx, options.setting,
-                                             options.adapter,
-                                             options.selection);
-    const Status status = g.run();
-    if (!status.ok()) ctx.fail("mpdt engine: " + status.message());
-    ctx.finish();
-    return std::move(ctx.run);
-  }
-
-  detect::ModelSetting setting = options.setting;
-  double previous_velocity = 0.0;
-  bool have_velocity = false;
-
-  try {
-    // Cycle 0: detect frame 0; nothing to track yet.
-    detect::DetectionResult ref = ctx.detect_on_gpu(0, setting);
-    ctx.clock->set(ctx.capture_time_ms(0) + ref.latency_ms);
-    ctx.record_detection(0, ref, setting, ctx.clock->now_ms());
-    ctx.run.cycles.push_back(
-        {0, setting, ctx.capture_time_ms(0), ctx.clock->now_ms(), 0, 0, 0.0});
-
-    int ref_index = 0;
-    while (ref_index < ctx.last) {
-      // The detector fetches the newest frame captured by time t.
-      int next_index = ctx.newest_captured(ctx.clock->now_ms());
-      if (next_index <= ref_index) {
-        // Detector outpaced the camera; wait for the next capture.
-        next_index = ref_index + 1;
-        ctx.clock->set(ctx.capture_time_ms(next_index));
-      }
-
-      // Model adaptation: the velocity measured during the cycle that just
-      // ended picks the frame size for the cycle about to start (§IV-D3).
-      if (options.adapter != nullptr && have_velocity) {
-        const detect::ModelSetting next_setting =
-            options.adapter->next_setting(previous_velocity, setting);
-        if (next_setting != setting) {
-          ++ctx.run.setting_switches;
-          if (obs::Telemetry::enabled()) {
-            obs::metrics().counter("adapter", "switches").add();
-          }
-          setting = next_setting;
-        }
-      }
-
-      const double cycle_start = ctx.clock->now_ms();
-      const detect::DetectionResult detection =
-          ctx.detect_on_gpu(next_index, setting);
-      const double cycle_end = cycle_start + detection.latency_ms;
-
-      // Tracker side of the cycle (parallel, on the CPU).
-      const EngineContext::Catchup batch =
-          ctx.track_catchup(ref_index, ref.detections, next_index, cycle_start,
-                            cycle_end, setting, options.selection);
-      if (batch.velocity_steps > 0) {
-        previous_velocity = batch.mean_velocity;
-        have_velocity = true;
-      }
-
-      ctx.record_detection(next_index, detection, setting, cycle_end);
-      ctx.run.cycles.push_back({next_index, setting, cycle_start, cycle_end,
-                                batch.frames_between, batch.tracked,
-                                batch.velocity_steps > 0 ? batch.mean_velocity
-                                                         : previous_velocity});
-      if (obs::Telemetry::enabled()) {
-        // Virtual-time pipeline: cycle durations are modeled, not
-        // wall-clock, so they land in metrics (not the span tracer, which
-        // is steady-clock).
-        obs::MetricsRegistry& reg = obs::metrics();
-        reg.counter("mpdt", "cycles").add();
-        reg.counter("mpdt", "frames_tracked")
-            .add(static_cast<std::uint64_t>(batch.tracked));
-        reg.latency_histogram("mpdt", "cycle_ms").record(cycle_end - cycle_start);
-        reg.histogram("mpdt", "backlog_frames",
-                      {1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64})
-            .record(static_cast<double>(batch.frames_between));
-      }
-      ref = detection;
-      ref_index = next_index;
-      ctx.clock->set(cycle_end);
-    }
-  } catch (const std::exception& e) {
-    ctx.fail(std::string("mpdt engine: ") + e.what());
-  }
-
+  // The engine as a graph spec: camera -> adapter -> detector -> catchup
+  // -> sink ring with a velocity feedback edge (see build_mpdt_graph).
+  graph::Graph g = graph::build_mpdt_graph(ctx, options.setting,
+                                           options.adapter, options.selection);
+  const Status status = g.run();
+  if (!status.ok()) ctx.fail("mpdt engine: " + status.message());
   ctx.finish();
   return std::move(ctx.run);
 }

@@ -193,11 +193,27 @@ void StreamSupervisor::run() {
   // containment loop so a restart resumes from it instead of frame 0.
   detect::DetectionResult ref;
   int ref_index = -1;
-  int coast_age = 0;
   int active_frame = -1;          ///< frame the current cycle works on
   bool coast_first = false;       ///< first post-restart cycle coasts
   double resume_local_ms = join_local_ms;  ///< clock floor on (re)entry
   int restarts_left = sup.max_restarts;
+
+  // Serve a cycle from the reference instead of a detection, completing at
+  // `done_ms`: re-issue the last good boxes with one more confidence-decay
+  // step (ref already carries the decay of earlier coasts) and report the
+  // result to the SLO tracker as coasted.
+  auto serve_from_reference = [&](int next_index, double capture_t,
+                                  double done_ms) {
+    ref.detections = decay_detections(ref.detections, 1, 0.85, 0.1);
+    FrameResult& fr = ctx.run.frames[static_cast<std::size_t>(next_index)];
+    fr.source = ResultSource::kTracker;
+    fr.boxes = to_labeled_boxes(ref);
+    fr.setting = last_setting;
+    fr.staleness_ms = done_ms - capture_t;
+    if (obs::SloTracker* slo = ctx.slo_tracker()) {
+      slo->on_result(done_ms, fr.staleness_ms, /*coasted=*/true);
+    }
+  };
 
   while (true) {
     try {
@@ -295,30 +311,17 @@ void StreamSupervisor::run() {
             // stream's GPU share to its neighbors. Re-issue the last good
             // boxes with decayed confidence (the realtime supervisor's
             // coasting policy).
-            ++coast_age;
             ++out.coast_cycles;
             const double start = std::max(now, capture_t) + wedge;
             const double done = start + detect::kOverlayMs;
             ctx.meter.add_cpu_busy(energy::PowerModel::cpu_coast_w(),
                                    detect::kOverlayMs);
-            // One decay step per coast cycle: ref already carries the
-            // decay of the previous coasts.
-            ref.detections = decay_detections(ref.detections, 1, 0.85, 0.1);
-            FrameResult& fr =
-                ctx.run.frames[static_cast<std::size_t>(next_index)];
-            fr.source = ResultSource::kTracker;
-            fr.boxes = to_labeled_boxes(ref);
-            fr.setting = last_setting;
-            fr.staleness_ms = done - capture_t;
-            if (obs::SloTracker* slo = ctx.slo_tracker()) {
-              slo->on_result(done, fr.staleness_ms, /*coasted=*/true);
-            }
+            serve_from_reference(next_index, capture_t, done);
             ctx.clock->set(done);
             ref_index = next_index;
             continue;
           }
 
-          coast_age = 0;
           const detect::DetectionResult det = ctx.detect(next_index, setting);
           const double ready = std::max(now, capture_t) + wedge;
           const FleetGpu::Grant grant = rt.gpu->submit(
@@ -330,16 +333,7 @@ void StreamSupervisor::run() {
             // Retry budget exhausted: the result is lost. Serve the cycle
             // from the reference instead (a forced coast) and move on —
             // the next cadence tick retries detection.
-            ref.detections = decay_detections(ref.detections, 1, 0.85, 0.1);
-            FrameResult& fr =
-                ctx.run.frames[static_cast<std::size_t>(next_index)];
-            fr.source = ResultSource::kTracker;
-            fr.boxes = to_labeled_boxes(ref);
-            fr.setting = last_setting;
-            fr.staleness_ms = complete - capture_t;
-            if (obs::SloTracker* slo = ctx.slo_tracker()) {
-              slo->on_result(complete, fr.staleness_ms, /*coasted=*/true);
-            }
+            serve_from_reference(next_index, capture_t, complete);
             ctx.clock->set(resume_point(grant, complete));
             ref_index = next_index;
             continue;

@@ -1,6 +1,5 @@
-// Canonical RunResult digest shared by the equivalence suites
-// (test_engine_equivalence.cpp pins the golden constants;
-// test_graph.cpp compares graph-backed vs legacy-loop backends with it).
+// Canonical RunResult digest behind the engine golden constants and the
+// fault-replay checks of test_engine_equivalence.cpp.
 //
 // FNV-1a 64 over a fixed serialization of every observable RunResult field:
 // frames (source/setting/staleness/boxes), cycles, energy rails, timeline,

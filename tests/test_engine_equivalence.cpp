@@ -15,7 +15,12 @@
 //
 //  2. Fault determinism: a seeded fault-injected run (detector + camera +
 //     tracker channels) replays bit-identically across repeats and across
-//     vision-kernel thread counts, on MPDT and on a baseline.
+//     vision-kernel thread counts, on MPDT and on a baseline; and the
+//     graph-backed engines (detect-only, continuous, MPDT fixed + AdaVP)
+//     match chaos goldens under that seeded plan.
+//
+// The goldens are the contract of the core::graph engine specs
+// (DESIGN.md §16): the canonical FNV-1a digest lives in run_result_digest.h.
 
 #include <gtest/gtest.h>
 
@@ -30,11 +35,6 @@
 
 namespace adavp::core {
 namespace {
-
-// The canonical FNV-1a digest lives in run_result_digest.h, shared with
-// test_graph.cpp (which compares graph-backed vs legacy-loop backends).
-// Note the engines honor ADAVP_GRAPH_ENGINES: CI runs this suite once per
-// backend, so the goldens below guard graph-vs-legacy byte-identity too.
 
 video::SceneConfig equivalence_scene() {
   video::SceneConfig cfg;
@@ -145,6 +145,71 @@ util::FaultPlan chaos_plan() {
   return *plan;
 }
 
+// Chaos goldens: the graph-backed engines under the plan above, captured
+// while the retired hand-written loops still ran alongside the graphs and
+// both produced these exact digests and fault counts. They pin the
+// fault-billing interleave (which node consumes which fault draw, in what
+// order) that the fault-free goldens cannot see.
+constexpr std::uint64_t kGoldenChaosDetectOnly = 0xABDD10B822E68443ULL;
+constexpr std::uint64_t kGoldenChaosContinuous = 0xD821D21110DCD441ULL;
+constexpr std::uint64_t kGoldenChaosMpdtFixed = 0x2FEDB10F7F1021EBULL;
+constexpr std::uint64_t kGoldenChaosAdaVp = 0xB8A4C286373F8445ULL;
+constexpr std::uint64_t kChaosFaultsDetectOnly = 3;
+constexpr std::uint64_t kChaosFaultsContinuous = 23;
+constexpr std::uint64_t kChaosFaultsMpdtFixed = 6;
+constexpr std::uint64_t kChaosFaultsAdaVp = 8;
+
+void expect_chaos_golden(const RunResult& run, std::uint64_t golden,
+                         std::uint64_t faults) {
+  EXPECT_FALSE(run.status.failed()) << run.status.to_string();
+  EXPECT_EQ(digest_run(run), golden)
+      << "digest 0x" << std::hex << digest_run(run);
+  EXPECT_EQ(run.faults_injected, faults);
+}
+
+TEST(EngineChaosGoldens, DetectOnly) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const util::FaultPlan plan = chaos_plan();
+  DetectOnlyOptions options;
+  options.seed = kSeed;
+  options.fault_plan = &plan;
+  expect_chaos_golden(run_detect_only(video, options), kGoldenChaosDetectOnly,
+                      kChaosFaultsDetectOnly);
+}
+
+TEST(EngineChaosGoldens, Continuous) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const util::FaultPlan plan = chaos_plan();
+  DetectOnlyOptions options;
+  options.seed = kSeed;
+  options.fault_plan = &plan;
+  expect_chaos_golden(run_continuous(video, options), kGoldenChaosContinuous,
+                      kChaosFaultsContinuous);
+}
+
+TEST(EngineChaosGoldens, MpdtFixed) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const util::FaultPlan plan = chaos_plan();
+  MpdtOptions options;
+  options.setting = detect::ModelSetting::kYolov3_512;
+  options.seed = kSeed;
+  options.fault_plan = &plan;
+  expect_chaos_golden(run_mpdt(video, options), kGoldenChaosMpdtFixed,
+                      kChaosFaultsMpdtFixed);
+}
+
+TEST(EngineChaosGoldens, AdaVp) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const util::FaultPlan plan = chaos_plan();
+  const adapt::ModelAdapter adapter = pretrained_adapter();
+  MpdtOptions options;
+  options.adapter = &adapter;
+  options.seed = kSeed;
+  options.fault_plan = &plan;
+  expect_chaos_golden(run_mpdt(video, options), kGoldenChaosAdaVp,
+                      kChaosFaultsAdaVp);
+}
+
 TEST(EngineFaults, MpdtFaultReplayIsBitIdenticalAcrossRepeats) {
   const video::SyntheticVideo video(equivalence_scene());
   const util::FaultPlan plan = chaos_plan();
@@ -203,6 +268,9 @@ TEST(EngineFaults, InjectedThrowBecomesWorkerFailureNotAnAbort) {
   EXPECT_EQ(run.status.code(), util::StatusCode::kWorkerFailure);
   EXPECT_TRUE(run.status.failed());
   EXPECT_NE(run.status.message().find("mpdt engine"), std::string::npos)
+      << run.status.message();
+  // The graph names the node that threw.
+  EXPECT_NE(run.status.message().find("detector"), std::string::npos)
       << run.status.message();
   // The partial result is still well-formed.
   EXPECT_EQ(run.frames.size(), static_cast<std::size_t>(video.frame_count()));

@@ -1,40 +1,33 @@
 // Dataflow-graph runtime suite (DESIGN.md §16).
 //
-// Four claims pinned here:
+// Three claims pinned here:
 //
-//  1. Scheduler contract: deterministic most-downstream-first activation,
+//  1. Packet semantics and wiring: typed payload access, copies that share
+//     (never copy) the payload, and type-checked connections rejected at
+//     connect time.
+//  2. Scheduler contract: deterministic most-downstream-first activation,
 //     bounded queues that never exceed their capacity, and clean Status
 //     outcomes for every edge case — zero-item sources, a node throwing
 //     mid-graph (first-failure path, never a hang or abort), required
 //     inputs left starving (stall detection), livelocking nodes.
-//  2. Calculator library semantics: the resampler's cadence throttle and
-//     its packet-ownership guarantee (a dropped FrameRef packet releases
-//     its pixels immediately), the degradation cap, type-checked wiring.
-//  3. Graph-vs-legacy byte-identity: the rebased engines (detect-only,
-//     continuous, MPDT fixed + AdaVP) produce digest-identical RunResults
-//     on either backend, fault-free and under a seeded chaos FaultPlan —
-//     the in-process counterpart of CI's ADAVP_GRAPH_ENGINES=0 rerun.
-//  4. Graph scheduling is bit-identical across repeats and vision-kernel
-//     thread counts, and its telemetry composes under a fleet stream's
+//  3. Introspection and telemetry: Graphviz export of every engine's
+//     topology, and node metrics that compose under a fleet stream's
 //     metric prefix ("fleet.streamN.graph.node.<name>.*").
+//
+// What the graph-backed engines compute is pinned by the golden digests in
+// test_engine_equivalence.cpp, fault-free and under a seeded chaos plan.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/baselines.h"
 #include "core/graph/engine_graphs.h"
 #include "core/graph/graph.h"
 #include "core/graph/nodes.h"
-#include "core/mpdt_pipeline.h"
-#include "core/training.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "run_result_digest.h"
-#include "util/fault_plan.h"
 #include "vision/image.h"
 
 namespace adavp::core::graph {
@@ -148,66 +141,6 @@ class OverEmitter : public Node {
 
  private:
   bool done_ = false;
-  int out_;
-};
-
-/// Source emitting FrameRef packets over the same pixel buffer.
-class FrameRefSource : public Node {
- public:
-  FrameRefSource(std::shared_ptr<const vision::ImageU8> image, int n)
-      : Node("frames"), image_(std::move(image)), n_(n) {
-    out_ = declare_output<video::FrameRef>("out");
-  }
-  void process(NodeRun& run) override {
-    run.emit(out_, video::FrameRef{next_, 10.0 * next_, image_},
-             10.0 * next_);
-    ++next_;
-  }
-  bool exhausted() const override { return next_ >= n_; }
-
- private:
-  std::shared_ptr<const vision::ImageU8> image_;
-  const int n_;
-  int next_ = 0;
-  int out_;
-};
-
-/// Emits FrameTickets at a fixed setting.
-class TicketSource : public Node {
- public:
-  TicketSource(int n, detect::ModelSetting setting)
-      : Node("tickets"), n_(n), setting_(setting) {
-    out_ = declare_output<FrameTicket>("out");
-  }
-  void process(NodeRun& run) override {
-    run.emit(out_, FrameTicket{next_, 10.0 * next_, setting_, false},
-             10.0 * next_);
-    ++next_;
-  }
-  bool exhausted() const override { return next_ >= n_; }
-
- private:
-  const int n_;
-  const detect::ModelSetting setting_;
-  int next_ = 0;
-  int out_;
-};
-
-/// Emits `n` overrun signals, one per activation.
-class OverrunSource : public Node {
- public:
-  explicit OverrunSource(int n) : Node("overruns"), n_(n) {
-    out_ = declare_output<OverrunSignal>("out");
-  }
-  void process(NodeRun& run) override {
-    run.emit(out_, OverrunSignal{}, 0.0);
-    ++next_;
-  }
-  bool exhausted() const override { return next_ >= n_; }
-
- private:
-  const int n_;
-  int next_ = 0;
   int out_;
 };
 
@@ -385,209 +318,6 @@ TEST(GraphScheduler, EmittingPastEdgeCapacityIsAContractError) {
   EXPECT_EQ(status.code(), StatusCode::kWorkerFailure);
   EXPECT_NE(status.message().find("overflows"), std::string::npos)
       << status.message();
-}
-
-// --- calculator library ------------------------------------------------------
-
-TEST(PacketResampler, ThrottlesToTheRequestedCadence) {
-  Graph g;
-  auto& src = g.add<IntSource>("src", 7);  // ts = 0,10,...,60
-  auto& resampler = g.add<PacketResamplerNode>("resampler", 25.0);
-  auto& sink = g.add<CollectSink>();
-  g.connect(src, "out", resampler, "in");
-  g.connect(resampler, "out", sink, "in");
-  const Status status = g.run();
-  ASSERT_TRUE(status.ok()) << status.to_string();
-  EXPECT_EQ(sink.ts, (std::vector<double>{0.0, 30.0, 60.0}));
-  EXPECT_EQ(resampler.passed(), 3u);
-  EXPECT_EQ(resampler.dropped(), 4u);
-}
-
-TEST(PacketResampler, DroppedFrameRefPacketsReleaseTheirPixelsImmediately) {
-  auto image = std::make_shared<const vision::ImageU8>(16, 16);
-  Graph g;
-  auto& src = g.add<FrameRefSource>(image, 7);
-  auto& resampler = g.add<PacketResamplerNode>("resampler", 25.0);
-  auto& sink = g.add<CollectSink>();
-  g.connect(src, "out", resampler, "in");
-  g.connect(resampler, "out", sink, "in");
-  const Status status = g.run();
-  ASSERT_TRUE(status.ok()) << status.to_string();
-  EXPECT_EQ(resampler.dropped(), 4u);
-  // Everything consumed or dropped: only `image` and the source's own copy
-  // still pin the pixels — no queue, holder, or drop path leaked a ref.
-  EXPECT_EQ(image.use_count(), 2);
-}
-
-TEST(DegradationNodeTest, OverrunSignalsCapTheTicketSetting) {
-  Graph g;
-  auto& tickets = g.add<TicketSource>(2, detect::ModelSetting::kYolov3_608);
-  auto& overruns = g.add<OverrunSource>(1);
-  auto& degradation = g.add<DegradationNode>();  // trip_threshold = 1
-  auto& sink = g.add<TicketCollect>();
-  g.connect(tickets, "out", degradation, "frame");
-  g.connect(overruns, "out", degradation, "overrun", /*capacity=*/2);
-  g.connect(degradation, "frame", sink, "in");
-  const Status status = g.run();
-  ASSERT_TRUE(status.ok()) << status.to_string();
-  // The overrun steps the ladder 608 -> 512 before the first ticket passes;
-  // one overrun-free ticket is not enough to recover (recover_after = 3).
-  ASSERT_EQ(sink.settings.size(), 2u);
-  EXPECT_EQ(sink.settings[0], detect::ModelSetting::kYolov3_512);
-  EXPECT_EQ(sink.settings[1], detect::ModelSetting::kYolov3_512);
-  EXPECT_EQ(degradation.ladder().level(), 1);
-  EXPECT_EQ(degradation.ladder().steps_down(), 1);
-}
-
-// --- graph-vs-legacy byte-identity ------------------------------------------
-
-/// RAII backend selector around force_graph_engines_for_testing.
-class ForcedBackend {
- public:
-  explicit ForcedBackend(bool graph) {
-    force_graph_engines_for_testing(graph);
-  }
-  ~ForcedBackend() { force_graph_engines_for_testing(std::nullopt); }
-};
-
-video::SceneConfig small_scene() {
-  video::SceneConfig cfg;
-  cfg.name = "graph-equivalence";
-  cfg.width = 192;
-  cfg.height = 120;
-  cfg.frame_count = 80;
-  cfg.seed = 2026;
-  cfg.initial_objects = 4;
-  cfg.max_objects = 6;
-  cfg.speed_mean = 1.4;
-  cfg.camera_pan = 0.6;
-  return cfg;
-}
-
-constexpr std::uint64_t kSeed = 421;
-
-// The chaos spec from test_engine_equivalence.cpp: all three channels, no
-// throws, so runs stay digestable.
-constexpr const char* kChaosSpec =
-    "detector: latency every=9 x=2.5; garbage at=40 n=4 | "
-    "camera: black at=25; corrupt every=47 amp=90; hiccup every=31 ms=45 | "
-    "tracker: starve every=17 frac=0.4; diverge at=33 px=6; nan at=57";
-
-template <typename RunFn>
-void expect_backends_identical(const video::SyntheticVideo& video,
-                               RunFn run_fn, bool with_faults) {
-  std::optional<util::FaultPlan> plan;
-  if (with_faults) {
-    std::string error;
-    plan = util::FaultPlan::parse(kChaosSpec, 9, &error);
-    ASSERT_TRUE(plan.has_value()) << error;
-  }
-  const util::FaultPlan* plan_ptr = plan.has_value() ? &*plan : nullptr;
-  std::uint64_t graph_digest = 0;
-  std::uint64_t legacy_digest = 0;
-  std::uint64_t graph_faults = 0;
-  std::uint64_t legacy_faults = 0;
-  {
-    ForcedBackend backend(/*graph=*/true);
-    const RunResult run = run_fn(video, plan_ptr);
-    graph_digest = digest_run(run);
-    graph_faults = run.faults_injected;
-    EXPECT_FALSE(run.status.failed()) << run.status.to_string();
-  }
-  {
-    ForcedBackend backend(/*graph=*/false);
-    const RunResult run = run_fn(video, plan_ptr);
-    legacy_digest = digest_run(run);
-    legacy_faults = run.faults_injected;
-  }
-  EXPECT_EQ(graph_digest, legacy_digest);
-  EXPECT_EQ(graph_faults, legacy_faults);
-}
-
-TEST(GraphVsLegacy, DetectOnlyIsByteIdenticalOnBothBackends) {
-  const video::SyntheticVideo video(small_scene());
-  const auto run_fn = [](const video::SyntheticVideo& v,
-                         const util::FaultPlan* plan) {
-    DetectOnlyOptions options;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_detect_only(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, ContinuousIsByteIdenticalOnBothBackends) {
-  const video::SyntheticVideo video(small_scene());
-  const auto run_fn = [](const video::SyntheticVideo& v,
-                         const util::FaultPlan* plan) {
-    DetectOnlyOptions options;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_continuous(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, MpdtFixedIsByteIdenticalOnBothBackends) {
-  const video::SyntheticVideo video(small_scene());
-  const auto run_fn = [](const video::SyntheticVideo& v,
-                         const util::FaultPlan* plan) {
-    MpdtOptions options;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_mpdt(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, AdaVpIsByteIdenticalOnBothBackends) {
-  const video::SyntheticVideo video(small_scene());
-  const adapt::ModelAdapter adapter = pretrained_adapter();
-  const auto run_fn = [&adapter](const video::SyntheticVideo& v,
-                                 const util::FaultPlan* plan) {
-    MpdtOptions options;
-    options.adapter = &adapter;
-    options.seed = kSeed;
-    options.fault_plan = plan;
-    return run_mpdt(v, options);
-  };
-  expect_backends_identical(video, run_fn, /*with_faults=*/false);
-  expect_backends_identical(video, run_fn, /*with_faults=*/true);
-}
-
-TEST(GraphVsLegacy, GraphBackendIsBitIdenticalAcrossKernelThreadCounts) {
-  const video::SyntheticVideo video(small_scene());
-  ForcedBackend backend(/*graph=*/true);
-  MpdtOptions options;
-  options.seed = kSeed;
-  options.tracker.kernels.num_threads = 1;
-  const RunResult serial = run_mpdt(video, options);
-  options.tracker.kernels.num_threads = 3;
-  const RunResult parallel = run_mpdt(video, options);
-  EXPECT_EQ(digest_run(serial), digest_run(parallel));
-  // And across repeats.
-  options.tracker.kernels.num_threads = 1;
-  EXPECT_EQ(digest_run(serial), digest_run(run_mpdt(video, options)));
-}
-
-TEST(GraphVsLegacy, ThrowingDetectorFailsWithTheEngineAnnotatedStatus) {
-  const video::SyntheticVideo video(small_scene());
-  const auto plan = util::FaultPlan::parse("detector: throw every=1", 9);
-  ASSERT_TRUE(plan.has_value());
-  ForcedBackend backend(/*graph=*/true);
-  MpdtOptions options;
-  options.seed = kSeed;
-  options.fault_plan = &*plan;
-  const RunResult run = run_mpdt(video, options);
-  EXPECT_EQ(run.status.code(), StatusCode::kWorkerFailure);
-  EXPECT_NE(run.status.message().find("mpdt engine"), std::string::npos)
-      << run.status.message();
-  EXPECT_NE(run.status.message().find("detector"), std::string::npos)
-      << run.status.message();
-  EXPECT_EQ(run.frames.size(), static_cast<std::size_t>(video.frame_count()));
 }
 
 // --- introspection and telemetry --------------------------------------------
