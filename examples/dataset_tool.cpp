@@ -4,7 +4,7 @@
 //
 //   $ ./dataset_tool list
 //   $ ./dataset_tool stats [--frames 300] [--seed 2020]
-//   $ ./dataset_tool render --scenario mobile_racetrack --out DIR \
+//   $ ./dataset_tool render --scenario mobile_racetrack --out DIR
 //         [--frames 60] [--every 10] [--overlay-gt]
 //   $ ./dataset_tool trace --scenario carmount_highway --out run.trace
 //

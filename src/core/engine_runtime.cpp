@@ -13,6 +13,10 @@ namespace adavp::core {
 
 namespace {
 
+/// Decorrelates the tracker-latency stream from the detector's, which is
+/// seeded from the same run seed.
+constexpr std::uint64_t kTrackLatencySalt = 0xABCDULL;
+
 std::unique_ptr<track::TrackerInterface> make_tracker(
     const EngineOptions& options) {
   if (options.backend == TrackerBackend::kDescriptor) {
@@ -38,7 +42,7 @@ EngineContext::EngineContext(const video::SyntheticVideo& video,
       clock(clock != nullptr ? std::move(clock)
                              : std::make_unique<VirtualClock>()),
       detector(options.seed, plan_channel(options.fault_plan, "detector")),
-      latency(options.seed ^ options.latency_salt),
+      latency(options.seed ^ kTrackLatencySalt),
       options_(std::move(options)),
       camera_faults_(plan_channel(options_.fault_plan, "camera")),
       tracker_owner_(make_tracker(options_)),
@@ -279,15 +283,23 @@ void fill_reused_frames(std::vector<FrameResult>& frames) {
   }
 }
 
+namespace {
+
+/// Per-frame confidence decay of coasted detections, and the score below
+/// which a coasted object is dropped.
+constexpr double kCoastDecay = 0.85;
+constexpr double kCoastScoreFloor = 0.1;
+
+}  // namespace
+
 std::vector<detect::Detection> decay_detections(
-    const std::vector<detect::Detection>& last_good, int age, double decay,
-    double score_floor) {
+    const std::vector<detect::Detection>& last_good, int age) {
   std::vector<detect::Detection> out;
-  const double factor = std::pow(decay, std::max(1, age));
+  const double factor = std::pow(kCoastDecay, std::max(1, age));
   out.reserve(last_good.size());
   for (const detect::Detection& d : last_good) {
     const float score = d.score * static_cast<float>(factor);
-    if (score < score_floor) continue;
+    if (score < kCoastScoreFloor) continue;
     detect::Detection copy = d;
     copy.score = score;
     out.push_back(copy);

@@ -38,19 +38,16 @@ enum class TrackerBackend {
 };
 
 /// The wiring every engine shares, factored out of its per-engine options
-/// struct. One seed drives the whole run; `latency_salt` decorrelates the
-/// tracker-latency stream from the detector's (virtual engines use the
-/// historical 0xABCD, the realtime tracker thread 0x77777).
+/// struct. One seed drives the whole run.
 struct EngineOptions {
   std::uint64_t seed = 1234;
-  track::TrackerParams tracker;
+  track::TrackerParams tracker{};
   TrackerBackend backend = TrackerBackend::kLucasKanade;
-  video::FrameStoreOptions frame_store;
+  video::FrameStoreOptions frame_store{};
   /// Non-null => deterministic fault injection: the plan's "detector"
   /// channel wraps the detector, "camera" glitches/delays captured frames,
   /// "tracker" degrades the optical-flow path. Must outlive the run.
   const util::FaultPlan* fault_plan = nullptr;
-  std::uint64_t latency_salt = 0xABCDULL;
   /// Non-null => per-window SLO evaluation: every recorded result feeds an
   /// obs::SloTracker and the report lands in RunResult::slo. Must outlive
   /// the run. Costs nothing when null.
@@ -195,10 +192,9 @@ std::vector<metrics::LabeledBox> to_labeled_boxes(
 void fill_reused_frames(std::vector<FrameResult>& frames);
 
 /// The supervisor's coasting payload: `last_good` re-issued with
-/// per-object confidence decay (score * decay^age); objects fading below
-/// `score_floor` drop out, so stale boxes fade instead of lingering.
+/// per-object confidence decay (score * 0.85^age); objects fading below a
+/// 0.1 score drop out, so stale boxes fade instead of lingering.
 std::vector<detect::Detection> decay_detections(
-    const std::vector<detect::Detection>& last_good, int age, double decay,
-    double score_floor);
+    const std::vector<detect::Detection>& last_good, int age);
 
 }  // namespace adavp::core

@@ -325,6 +325,15 @@ double admission_duty(detect::ModelSetting setting, double cadence_ms) {
 
 namespace {
 
+/// Fraction of the GPU's (batching-boosted) capacity the admitted duty
+/// cycle may claim, and the largest cadence multiplier admission may
+/// impose while degrading a stream.
+constexpr double kUtilizationBudget = 0.85;
+constexpr double kMaxCadenceStretch = 2.0;
+/// Absolute deadline granted to requests from streams that declared
+/// neither FleetStreamOptions::deadline_ms nor an SLO spec.
+constexpr double kDefaultDeadlineMs = 1000.0;
+
 double duty_of(detect::ModelSetting setting, double cadence_ms) {
   return admission_duty(setting, cadence_ms);
 }
@@ -351,12 +360,13 @@ struct AdmissionPlan {
 };
 
 AdmissionPlan plan_stream(const FleetStreamOptions& stream, double used,
-                          double capacity, const AdmissionOptions& adm) {
+                          double capacity, bool allow_degrade) {
   AdmissionPlan plan{AdmissionDecision::kAdmitted, stream.setting,
                      stream.cadence_ms};
   if (used + duty_of(plan.setting, plan.cadence_ms) <= capacity) return plan;
-  if (!adm.allow_degrade) return {AdmissionDecision::kRejected, stream.setting,
-                                  stream.cadence_ms};
+  if (!allow_degrade) {
+    return {AdmissionDecision::kRejected, stream.setting, stream.cadence_ms};
+  }
 
   // Ladder-style degradation before rejection: first smaller settings at
   // the requested cadence, then the cheapest setting at a stretched
@@ -372,12 +382,12 @@ AdmissionPlan plan_stream(const FleetStreamOptions& stream, double used,
       cheaper.empty() ? stream.setting : cheaper.back();
   double stretch = 1.25;
   while (true) {
-    const double factor = std::min(stretch, adm.max_cadence_stretch);
+    const double factor = std::min(stretch, kMaxCadenceStretch);
     const double cadence = stream.cadence_ms * factor;
     if (used + duty_of(cheapest, cadence) <= capacity) {
       return {AdmissionDecision::kDegraded, cheapest, cadence};
     }
-    if (factor >= adm.max_cadence_stretch) break;
+    if (factor >= kMaxCadenceStretch) break;
     stretch *= 1.25;
   }
   return {AdmissionDecision::kRejected, stream.setting, stream.cadence_ms};
@@ -396,7 +406,7 @@ FleetResult run_fleet(const std::vector<FleetStreamOptions>& streams,
   // --- admission: static duty-cycle budget with degrade-then-reject ---
   const int max_batch = std::max(1, options.gpu.max_batch);
   const double capacity =
-      options.admission.utilization_budget *
+      kUtilizationBudget *
       std::pow(static_cast<double>(max_batch),
                1.0 - detect::LatencyModel::kBatchAlpha);
   double used = 0.0;
@@ -407,7 +417,8 @@ FleetResult run_fleet(const std::vector<FleetStreamOptions>& streams,
     out.name = streams[i].name.empty() ? "stream" + std::to_string(i)
                                        : streams[i].name;
     const AdmissionPlan plan =
-        plan_stream(streams[i], used, capacity, options.admission);
+        plan_stream(streams[i], used, capacity,
+                    options.admission.allow_degrade);
     out.admission = plan.decision;
     out.granted_setting = plan.setting;
     out.granted_cadence_ms = plan.cadence_ms;
@@ -488,9 +499,10 @@ FleetResult run_fleet(const std::vector<FleetStreamOptions>& streams,
     if (deadline <= 0.0 && stream.engine.slo != nullptr) {
       deadline = stream.engine.slo->effective_deadline_ms();
     }
-    if (deadline <= 0.0) deadline = options.gpu.default_deadline_ms;
-    StreamRuntime rt{id,   &stream,       &options, out.stagger_ms,
-                     deadline, &gpu,      fleet_latency, &out};
+    if (deadline <= 0.0) deadline = kDefaultDeadlineMs;
+    StreamRuntime rt{id,       &stream, options.supervisor.enabled,
+                     out.stagger_ms, deadline, &gpu,
+                     fleet_latency,  &out};
     threads.emplace_back([rt] { StreamSupervisor(rt).run(); });
   }
   for (std::thread& t : threads) t.join();

@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/degradation.h"
 #include "core/engine_runtime.h"
 #include "core/run_result.h"
 #include "detect/model_setting.h"
@@ -26,9 +25,6 @@ struct GpuOptions {
   /// linearly with waiting time while fresh requests' keys track the
   /// (advancing) capture clock. 0 restores pure EDF, which can starve.
   double aging_factor = 2.0;
-  /// Absolute deadline granted to requests from streams that declared
-  /// neither FleetStreamOptions::deadline_ms nor an SLO spec.
-  double default_deadline_ms = 1000.0;
   /// Watchdog budget per hung dispatch attempt (gpu: hang/wedge faults):
   /// after this much virtual time with no completion the fleet watchdog
   /// cancels the attempt, bills the budget to every batch member, and
@@ -40,19 +36,16 @@ struct GpuOptions {
   int retry_budget = 2;
 };
 
-/// Tuning of fleet admission control (static, at fleet start).
+/// Tuning of fleet admission control (static, at fleet start). The
+/// admitted duty cycle, Σ mean_latency(setting) / cadence over admitted
+/// streams, may claim 0.85 of the GPU's capacity, boosted by the batching
+/// amortization the scheduler can realize (max_batch^(1-alpha), see
+/// detect::LatencyModel).
 struct AdmissionOptions {
-  /// Fraction of the GPU's capacity the admitted duty cycle may claim.
-  /// Duty is Σ mean_latency(setting) / cadence over admitted streams,
-  /// against a capacity boosted by the batching amortization the scheduler
-  /// can realize (max_batch^(1-alpha), see detect::LatencyModel).
-  double utilization_budget = 0.85;
-  /// Degrade (smaller model setting, then stretched cadence) before
-  /// rejecting a stream that does not fit — the fleet-level mirror of the
-  /// per-run DegradationLadder.
+  /// Degrade (smaller model setting, then up to a 2x stretched cadence)
+  /// before rejecting a stream that does not fit — the fleet-level mirror
+  /// of the per-run DegradationLadder.
   bool allow_degrade = true;
-  /// Largest cadence multiplier admission may impose while degrading.
-  double max_cadence_stretch = 2.0;
 };
 
 enum class AdmissionDecision {
@@ -70,39 +63,21 @@ double admission_duty(detect::ModelSetting setting, double cadence_ms);
 /// Tuning of the fleet supervision layer (core::StreamSupervisor,
 /// DESIGN.md §15). Off by default: an unsupervised fleet is byte-identical
 /// to PR 7 behavior, and a supervised all-healthy fleet is byte-identical
-/// to an unsupervised one (pinned by tests/test_fleet_chaos.cpp).
+/// to an unsupervised one (pinned by tests/test_fleet_chaos.cpp). The
+/// restart, backoff and probe budgets are fixed in supervisor.cpp.
 struct FleetSupervisorOptions {
   /// Master switch: contain stream crashes (quarantine + bounded restart
   /// + probed re-admission) instead of letting them end the stream, and
   /// give statically-rejected streams a probing thread so they can join
   /// mid-run when capacity frees up.
   bool enabled = false;
-  /// Restarts granted per stream before a crash becomes a permanent
-  /// quarantine (the stream ends kWorkerFailure; the fleet still runs).
-  int max_restarts = 3;
-  /// Exponential backoff between quarantine and the first re-admission
-  /// probe: initial * factor^(attempt-1), capped, plus deterministic
-  /// jitter in [0, jitter_frac) drawn from the stream seed and the
-  /// attempt number. All virtual time — a backed-off stream never stalls
-  /// the fleet's conservative dispatch.
-  double backoff_initial_ms = 200.0;
-  double backoff_factor = 2.0;
-  double backoff_max_ms = 4000.0;
-  double backoff_jitter_frac = 0.25;
-  /// Virtual-time period between re-admission probes after a denial, and
-  /// the cap on consecutive denials before the stream gives up for good.
-  double probe_period_ms = 500.0;
-  int max_probes = 16;
-  /// DegradationLadder level a re-admitted stream rejoins at — degraded
-  /// first, recovering toward its granted setting through on_success.
-  int readmit_level = 3;
 };
 
 /// Per-stream supervision outcome, mirrored into FleetStreamResult.
 /// All timestamps are virtual global fleet time.
 struct StreamSupervisionStats {
   int crashes = 0;      ///< engine-loop exceptions contained
-  int restarts = 0;     ///< restarts granted (<= max_restarts)
+  int restarts = 0;     ///< restarts granted (at most 3)
   int quarantines = 0;  ///< quarantine entries (crash or start rejected)
   int probes = 0;       ///< re-admission probes issued
   int stream_faults = 0;   ///< stream-channel injections (crash/wedge)
@@ -130,15 +105,8 @@ struct FleetStreamOptions {
   /// of each stream's cadence.
   double cadence_ms = 500.0;
   /// Per-result deadline for EDF ordering. 0 falls back to the SLO spec's
-  /// effective deadline, then to GpuOptions::default_deadline_ms.
+  /// effective deadline, then to 1000 ms.
   double deadline_ms = 0.0;
-  /// Close the SLO loop per stream: when the stream's own SloTracker
-  /// reports an active breach, step its DegradationLadder down (smaller
-  /// settings, then tracker-only coasting); recover with hysteresis.
-  /// Off by default — a self-degrading stream changes its GPU request
-  /// pattern, which the digest-isolation soak must avoid.
-  bool self_degrade = false;
-  LadderOptions ladder;
 };
 
 /// Per-stream view of the shared detection queue.
@@ -159,8 +127,8 @@ struct FleetStreamResult {
   /// synchronized fleets do not arrive as one thundering herd).
   double stagger_ms = 0.0;
   StreamQueueStats queue;
-  int degrade_steps = 0;  ///< self-degradation downshifts during the run
-  int coast_cycles = 0;   ///< cycles served tracker-only at the ladder floor
+  int degrade_steps = 0;  ///< ladder downshifts (re-admissions rejoin degraded)
+  int coast_cycles = 0;   ///< cycles served tracker-only after a restart
   /// Result-staleness percentiles over the stream's frames (ms).
   double latency_p50_ms = 0.0;
   double latency_p99_ms = 0.0;
@@ -220,10 +188,6 @@ struct FleetOptions {
   /// cadences from submitting in lockstep (which would force every batch
   /// to full width and inflate everyone's p99).
   double stagger_ms = -1.0;
-  /// Register each stream's obs instruments under "fleet.stream<i>." via
-  /// obs::ScopedMetricPrefix so concurrent streams never collide on a
-  /// metric key. Off leaves names untouched (single-stream compatible).
-  bool label_telemetry = true;
   /// Fleet supervision: crash containment, bounded restart with backoff,
   /// and probed dynamic re-admission (DESIGN.md §15).
   FleetSupervisorOptions supervisor;

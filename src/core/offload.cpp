@@ -18,6 +18,11 @@ namespace {
 
 /// WiFi/LTE radio power while transmitting a frame (rough handset figure).
 constexpr double kRadioTransmitW = 1.1;
+/// Lognormal-ish RTT jitter, as a fraction of the mean RTT.
+constexpr double kRttJitterFrac = 0.25;
+/// Re-sends of a failed upload, and the pipeline time waited before each.
+constexpr int kCodecRetries = 2;
+constexpr double kCodecRetryBackoffMs = 25.0;
 
 }  // namespace
 
@@ -82,7 +87,7 @@ RunResult run_offload(const video::SyntheticVideo& video,
   auto sample_round_trip = [&](double transmit_ms) {
     // Unpredictable network latency: positively skewed jitter.
     const double jitter =
-        std::abs(rng.gaussian(0.0, options.jitter_frac * options.rtt_ms));
+        std::abs(rng.gaussian(0.0, kRttJitterFrac * options.rtt_ms));
     const double total =
         transmit_ms + options.rtt_ms + options.server_latency_ms + jitter;
     if (obs::Telemetry::enabled()) {
@@ -94,9 +99,9 @@ RunResult run_offload(const video::SyntheticVideo& video,
     return total;
   };
 
-  // One frame's whole remote round trip with retry/timeout/backoff: codec
-  // faults (`codec:` channel) and over-timeout round trips consume retry
-  // attempts; a spent budget degrades to local detection (ok == false).
+  // One frame's whole remote round trip with retry/backoff: codec faults
+  // (`codec:` channel) consume retry attempts; a spent budget degrades to
+  // local detection (ok == false).
   const util::FaultChannel codec_faults =
       options.fault_plan != nullptr ? options.fault_plan->channel("codec")
                                     : util::FaultChannel();
@@ -123,9 +128,8 @@ RunResult run_offload(const video::SyntheticVideo& video,
         }
       }
     }
-    const int attempts_allowed = 1 + std::max(0, options.codec_retries);
-    for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
-      if (attempt > 1) r.latency_ms += options.codec_retry_backoff_ms;
+    for (int attempt = 1; attempt <= 1 + kCodecRetries; ++attempt) {
+      if (attempt > 1) r.latency_ms += kCodecRetryBackoffMs;
       double transmit_ms = 0.0;
       util::Status up;
       if (attempt <= forced_failures) {
@@ -141,21 +145,8 @@ RunResult run_offload(const video::SyntheticVideo& video,
         obs::flight_instant("codec_retry", "offload", index);
         continue;
       }
-      const double round_trip = sample_round_trip(transmit_ms);
-      if (options.round_trip_timeout_ms > 0.0 &&
-          round_trip > options.round_trip_timeout_ms) {
-        // Gave up waiting: the timeout elapsed on the pipeline clock, the
-        // transmit energy is spent either way.
-        r.latency_ms += options.round_trip_timeout_ms;
-        r.radio_ms += transmit_ms;
-        if (obs::Telemetry::enabled()) {
-          obs::metrics().counter("offload", "round_trip_timeouts").add();
-        }
-        obs::flight_instant("round_trip_timeout", "offload", index);
-        continue;
-      }
       r.ok = true;
-      r.latency_ms += round_trip;
+      r.latency_ms += sample_round_trip(transmit_ms);
       r.radio_ms += transmit_ms;
       return r;
     }

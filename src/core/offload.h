@@ -23,7 +23,6 @@ struct OffloadOptions {
   double bandwidth_mbps = 20.0;     ///< uplink available to the camera
   double server_latency_ms = 35.0;  ///< server-side YOLOv3-608 inference
   double frame_bytes = 40000.0;     ///< compressed frame upload size
-  double jitter_frac = 0.25;        ///< lognormal-ish RTT jitter fraction
   std::uint64_t seed = 1234;
   track::TrackerParams tracker;
   /// Zero-copy frame path tuning (see MpdtOptions::frame_store).
@@ -31,22 +30,14 @@ struct OffloadOptions {
   /// When > 0, every uploaded frame really goes through the intra-frame
   /// codec (vision::encode_frame) at this quality: the transmit model uses
   /// the actual compressed size instead of the flat `frame_bytes`, and the
-  /// server-side decode's util::Status is checked — a kDataLoss bitstream
-  /// is retried (below) and, once the budget is spent, degrades the cycle
-  /// to local detection instead of killing the run.
+  /// server-side decode's util::Status is checked.
+  ///
+  /// A failed upload (a kDataLoss bitstream, or a `codec:` drop fault at
+  /// any quality) is retried after 25 ms of pipeline time, up to 2 re-sends;
+  /// when the budget is spent the cycle falls back to *local* detection
+  /// (tiny model on the device GPU) and the run completes kDegraded —
+  /// codec faults cost latency and accuracy, never the run.
   int codec_quality = 0;
-  /// Retry/timeout/backoff on the encode -> uplink -> decode round trip.
-  /// A failed attempt (lost or corrupt bitstream, `codec:` drop fault, or
-  /// a round trip over the timeout) is retried after
-  /// `codec_retry_backoff_ms` of pipeline time, up to `codec_retries`
-  /// re-sends; when the budget is spent the cycle falls back to *local*
-  /// detection (tiny model on the device GPU) and the run completes
-  /// kDegraded — codec faults cost latency and accuracy, never the run.
-  int codec_retries = 2;
-  double codec_retry_backoff_ms = 25.0;
-  /// When > 0, a sampled round trip longer than this counts as a failed
-  /// attempt (the camera gives up waiting and re-sends). 0 disables.
-  double round_trip_timeout_ms = 0.0;
   /// Non-null => deterministic fault injection (detector / camera /
   /// tracker channels; see EngineOptions::fault_plan). The `codec:`
   /// channel additionally targets the offload round trip, keyed by frame

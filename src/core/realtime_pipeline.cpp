@@ -28,6 +28,11 @@ namespace adavp::core {
 
 namespace {
 
+/// Supervisor watchdog deadline per detection cycle: this multiple of the
+/// LatencyModel mean for the cycle's (capped) setting, floored.
+constexpr double kWatchdogDeadlineFactor = 2.0;
+constexpr double kWatchdogDeadlineFloorMs = 50.0;
+
 /// Sleeps whatever is left of a modeled latency after the real compute
 /// that already happened. The modeled TX2 latencies are meant to SUBSUME
 /// the actual CPU work this reproduction performs (LK, rasterizing), so
@@ -230,8 +235,8 @@ RealtimeResult run_realtime(const video::SyntheticVideo& video,
 
   const SupervisorOptions& sup = options.supervisor;
   auto watchdog_deadline_ms = [&](detect::ModelSetting setting) {
-    return std::max(sup.deadline_floor_ms,
-                    sup.deadline_factor *
+    return std::max(kWatchdogDeadlineFloorMs,
+                    kWatchdogDeadlineFactor *
                         detect::LatencyModel::mean_latency_ms(setting));
   };
 
@@ -394,8 +399,7 @@ RealtimeResult run_realtime(const video::SyntheticVideo& video,
               (last_good_frame < 0)
                   ? std::vector<detect::Detection>{}
                   : decay_detections(last_good,
-                                     frame->index - last_good_frame,
-                                     sup.coast_decay, sup.coast_score_floor);
+                                     frame->index - last_good_frame);
           FrameResult fr;
           fr.frame_index = frame->index;
           fr.source = ResultSource::kTracker;

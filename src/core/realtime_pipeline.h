@@ -17,24 +17,17 @@ namespace adavp::core {
 /// The pipeline supervisor (docs/ROBUSTNESS.md): a per-cycle detector
 /// watchdog plus the graceful-degradation ladder. Off by default — the
 /// unsupervised pipeline is bit-identical to the pre-supervisor one.
+///
+/// The watchdog deadline per detection cycle is 2x the LatencyModel mean
+/// for the cycle's (capped) setting, floored at 50 ms. A cycle whose
+/// modeled inference exceeds it is cancelled at the deadline: the result
+/// is discarded, the ladder steps, and the cycle coasts on the tracker,
+/// re-issuing the last good detections through decay_detections.
 struct SupervisorOptions {
   bool enabled = false;
-  /// Watchdog deadline per detection cycle, as a multiple of the
-  /// LatencyModel mean for the cycle's (capped) setting, floored at
-  /// `deadline_floor_ms`. A cycle whose modeled inference exceeds the
-  /// deadline is cancelled at the deadline: the result is discarded, the
-  /// ladder steps, and the cycle coasts on the tracker.
-  double deadline_factor = 2.0;
-  double deadline_floor_ms = 50.0;
   /// Degradation ladder tuning (trip threshold, recovery hysteresis,
   /// probe backoff at the tracker-only floor).
   LadderOptions ladder;
-  /// Per-frame confidence decay applied to the last good detections while
-  /// coasting; an object whose decayed score sinks below
-  /// `coast_score_floor` is dropped, so stale boxes fade out instead of
-  /// lingering forever.
-  double coast_decay = 0.85;
-  double coast_score_floor = 0.1;
 };
 
 /// Options for the real multithreaded pipeline.

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/degradation.h"
 #include "core/status.h"
 #include "detect/calibration.h"
 #include "detect/latency_model.h"
@@ -19,6 +19,26 @@ namespace adavp::core {
 namespace {
 
 constexpr double kEps = 1e-9;
+
+/// Restarts granted per stream before a crash becomes a permanent
+/// quarantine (the stream ends kWorkerFailure; the fleet still runs).
+constexpr int kMaxRestarts = 3;
+/// Exponential backoff between quarantine and the first re-admission
+/// probe: initial * factor^(attempt-1), capped, plus deterministic jitter
+/// in [0, kBackoffJitterFrac) drawn from the stream seed and the attempt
+/// number. All virtual time — a backed-off stream never stalls the fleet's
+/// conservative dispatch.
+constexpr double kBackoffInitialMs = 200.0;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffMaxMs = 4000.0;
+constexpr double kBackoffJitterFrac = 0.25;
+/// Virtual-time period between re-admission probes after a denial, and
+/// the cap on consecutive denials before the stream gives up for good.
+constexpr double kProbePeriodMs = 500.0;
+constexpr int kMaxProbes = 16;
+/// DegradationLadder level a re-admitted stream rejoins at — degraded
+/// first, recovering toward its granted setting through on_success.
+constexpr int kReadmitLevel = 3;
 
 /// Exact percentile over a copied sample set (fleet reports are per-run,
 /// not streaming, so the exact order statistic is affordable).
@@ -55,12 +75,10 @@ double quantize_up(double t, double step) {
 void StreamSupervisor::run() {
   const StreamRuntime& rt = rt_;
   FleetStreamResult& out = *rt.out;
-  const FleetSupervisorOptions& sup = rt.fleet->supervisor;
   StreamSupervisionStats& sv = out.supervision;
   // Every obs instrument this thread resolves — engine internals included —
   // lands under the stream's label, so concurrent streams never collide.
-  std::optional<obs::ScopedMetricPrefix> label;
-  if (rt.fleet->label_telemetry) label.emplace("fleet." + out.name + ".");
+  const obs::ScopedMetricPrefix label("fleet." + out.name + ".");
 
   // The duty this stream holds on the admission ledger while running;
   // released on quarantine (immediately — a probing neighbor can claim it
@@ -78,16 +96,16 @@ void StreamSupervisor::run() {
 
   // --- dynamic admission: a statically-rejected stream (only supervised
   // fleets spawn one at all) parks on periodic ledger probes and joins
-  // mid-run once capacity frees up; after max_probes denials it is shed
+  // mid-run once capacity frees up; after kMaxProbes denials it is shed
   // exactly like the unsupervised fleet shed it (empty run).
   double join_local_ms = 0.0;
   if (!holding) {
     ++sv.quarantines;
     sv.first_quarantined_at_ms = rt.offset_ms;
-    for (int attempt = 1; attempt <= sup.max_probes; ++attempt) {
+    for (int attempt = 1; attempt <= kMaxProbes; ++attempt) {
       ++sv.probes;
       const double at =
-          rt.offset_ms + sup.probe_period_ms * static_cast<double>(attempt);
+          rt.offset_ms + kProbePeriodMs * static_cast<double>(attempt);
       const FleetGpu::ProbeResult res = rt.gpu->probe(rt.id, at, held_duty);
       if (res.admitted) {
         holding = true;
@@ -118,7 +136,7 @@ void StreamSupervisor::run() {
     queue_wait_hist = &reg.latency_histogram("stream", "queue_wait_ms");
   }
 
-  DegradationLadder ladder(rt.options->ladder);
+  DegradationLadder ladder;
   double wait_sum = 0.0;
   const double cadence = out.granted_cadence_ms;
   const detect::ModelSetting base_setting = out.granted_setting;
@@ -185,7 +203,9 @@ void StreamSupervisor::run() {
   // Where a gpu-disturbed stream resumes: its own next cadence slot (see
   // quantize_up). Identity for healthy grants.
   auto resume_point = [&](const FleetGpu::Grant& grant, double complete) {
-    if (!sup.enabled || (grant.retries == 0 && !grant.failed)) return complete;
+    if (!rt.supervised || (grant.retries == 0 && !grant.failed)) {
+      return complete;
+    }
     return std::max(complete, quantize_up(complete, cadence));
   };
 
@@ -196,7 +216,7 @@ void StreamSupervisor::run() {
   int active_frame = -1;          ///< frame the current cycle works on
   bool coast_first = false;       ///< first post-restart cycle coasts
   double resume_local_ms = join_local_ms;  ///< clock floor on (re)entry
-  int restarts_left = sup.max_restarts;
+  int restarts_left = kMaxRestarts;
 
   // Serve a cycle from the reference instead of a detection, completing at
   // `done_ms`: re-issue the last good boxes with one more confidence-decay
@@ -204,7 +224,7 @@ void StreamSupervisor::run() {
   // result to the SLO tracker as coasted.
   auto serve_from_reference = [&](int next_index, double capture_t,
                                   double done_ms) {
-    ref.detections = decay_detections(ref.detections, 1, 0.85, 0.1);
+    ref.detections = decay_detections(ref.detections, 1);
     FrameResult& fr = ctx.run.frames[static_cast<std::size_t>(next_index)];
     fr.source = ResultSource::kTracker;
     fr.boxes = to_labeled_boxes(ref);
@@ -273,44 +293,12 @@ void StreamSupervisor::run() {
           active_frame = next_index;
           const double wedge = scan_stream_faults(next_index);
 
-          // SLO-closed-loop self-degradation (opt-in): an active breach
-          // steps the ladder down; sustained health steps it back up. A
-          // supervisor-imposed level (re-admission) heals the same way,
-          // through clean cycles.
-          bool coast = false;
-          detect::ModelSetting setting = base_setting;
           if (coast_first) {
             // First post-restart cycle: prove liveness from the
-            // checkpointed boxes before spending GPU again.
+            // checkpointed boxes before spending GPU again. No GPU
+            // submission at all: re-issue the last good boxes with decayed
+            // confidence (the realtime supervisor's coasting policy).
             coast_first = false;
-            coast = true;
-          } else if (rt.options->self_degrade || ladder.level() > 0) {
-            if (rt.options->self_degrade) {
-              if (obs::SloTracker* slo = ctx.slo_tracker()) {
-                const obs::SensorReading reading = slo->read();
-                if (reading.valid) {
-                  const bool changed = reading.in_breach ? ladder.on_overrun()
-                                                         : ladder.on_success();
-                  (void)changed;
-                }
-              }
-            }
-            if (ladder.tracker_only()) {
-              // At the floor: coast, except for bounded-backoff probes
-              // with the cheapest model.
-              coast = !ladder.should_probe();
-              setting = detect::ModelSetting::kYolov3Tiny_320;
-            } else {
-              setting = ladder.apply(base_setting);
-            }
-          }
-
-          if (coast) {
-            // Tracker-only cycle: no GPU submission at all — the entire
-            // point of the degradation floor in a fleet is to return the
-            // stream's GPU share to its neighbors. Re-issue the last good
-            // boxes with decayed confidence (the realtime supervisor's
-            // coasting policy).
             ++out.coast_cycles;
             const double start = std::max(now, capture_t) + wedge;
             const double done = start + detect::kOverlayMs;
@@ -322,6 +310,9 @@ void StreamSupervisor::run() {
             continue;
           }
 
+          // A re-admitted stream runs capped by its ladder level (the
+          // identity at level 0) and heals through clean cycles.
+          const detect::ModelSetting setting = ladder.apply(base_setting);
           const detect::DetectionResult det = ctx.detect(next_index, setting);
           const double ready = std::max(now, capture_t) + wedge;
           const FleetGpu::Grant grant = rt.gpu->submit(
@@ -359,9 +350,7 @@ void StreamSupervisor::run() {
           if (rt.fleet_latency != nullptr) {
             rt.fleet_latency->record(grant.complete_ms, complete - capture_t);
           }
-          if (!rt.options->self_degrade && ladder.level() > 0) {
-            ladder.on_success();  // supervisor-imposed degradation heals
-          }
+          if (ladder.level() > 0) ladder.on_success();
           ref = det;
           ref_index = next_index;
           ctx.clock->set(resume_point(grant, complete));
@@ -370,7 +359,7 @@ void StreamSupervisor::run() {
       break;  // clean completion
     } catch (const std::exception& e) {
       const double crash_local = ctx.clock->now_ms();
-      if (!sup.enabled) {
+      if (!rt.supervised) {
         ctx.fail(annotate_failure("stream", active_frame,
                                   "fleet stream " + out.name + ": " +
                                       e.what()));
@@ -406,12 +395,12 @@ void StreamSupervisor::run() {
       // runs replay bit-identically.
       const int attempt = sv.crashes;
       double backoff = std::min(
-          sup.backoff_max_ms,
-          sup.backoff_initial_ms *
-              std::pow(sup.backoff_factor, static_cast<double>(attempt - 1)));
+          kBackoffMaxMs,
+          kBackoffInitialMs *
+              std::pow(kBackoffFactor, static_cast<double>(attempt - 1)));
       util::Rng jitter(mix64(rt.options->engine.seed ^
                              (0xB0FFULL * static_cast<std::uint64_t>(attempt))));
-      backoff *= 1.0 + sup.backoff_jitter_frac * jitter.uniform();
+      backoff *= 1.0 + kBackoffJitterFrac * jitter.uniform();
       sv.backoff_total_ms += backoff;
       if (obs::Telemetry::enabled()) {
         // Fleet-level series (one per run, all streams), bypassing the
@@ -429,7 +418,7 @@ void StreamSupervisor::run() {
       // grants or the probe budget runs out.
       bool readmitted = false;
       double at_local = crash_local + backoff;
-      for (int p = 1; p <= sup.max_probes; ++p) {
+      for (int p = 1; p <= kMaxProbes; ++p) {
         ++sv.probes;
         const FleetGpu::ProbeResult res =
             rt.gpu->probe(rt.id, rt.offset_ms + at_local, held_duty);
@@ -440,14 +429,14 @@ void StreamSupervisor::run() {
           at_local = res.at_ms - rt.offset_ms;
           break;
         }
-        at_local += sup.probe_period_ms;
+        at_local += kProbePeriodMs;
       }
       if (!readmitted) {
         sv.gave_up = true;
         ctx.fail(annotate_failure(
             "stream", active_frame,
             "fleet stream " + out.name + " gave up: " +
-                std::to_string(sup.max_probes) +
+                std::to_string(kMaxProbes) +
                 " re-admission probes denied"));
         break;
       }
@@ -461,13 +450,13 @@ void StreamSupervisor::run() {
       // Rejoin degraded (earn the granted setting back through clean
       // cycles), coasting one cycle on the checkpoint first, on the
       // stream's own cadence phase (see quantize_up).
-      ladder.reset_to(sup.readmit_level);
+      ladder.reset_to(kReadmitLevel);
       coast_first = ref_index >= 0;
       resume_local_ms = std::max(at_local, quantize_up(at_local, cadence));
     }
   }
 
-  if (sup.enabled && holding) {
+  if (rt.supervised && holding) {
     // End of stream: the duty returns to the ledger so a parked probe
     // resolving later can claim it.
     rt.gpu->release_duty(rt.offset_ms + ctx.clock->now_ms(), held_duty);

@@ -12,7 +12,7 @@ namespace adavp::core {
 struct StreamRuntime {
   int id = 0;
   const FleetStreamOptions* options = nullptr;
-  const FleetOptions* fleet = nullptr;
+  bool supervised = false;   ///< FleetSupervisorOptions::enabled
   double offset_ms = 0.0;    ///< global-time stagger offset
   double deadline_ms = 0.0;  ///< relative per-result deadline
   FleetGpu* gpu = nullptr;
@@ -29,11 +29,11 @@ struct StreamRuntime {
 ///   - `stream:` channel faults (crash / wedge) injected at the engine
 ///     loop, keyed by frame index;
 ///   - crash containment: an exception quarantines the stream (its duty
-///     returns to the ledger) instead of ending it, up to max_restarts;
+///     returns to the ledger) instead of ending it, up to 3 restarts;
 ///   - bounded restart: exponential backoff with deterministic jitter,
 ///     then re-admission probes against the live duty ledger; a granted
 ///     probe resumes from the last checkpointed cycle (reference boxes,
-///     ladder forced to readmit_level, first cycle coasts) on the
+///     ladder forced to level 3, first cycle coasts) on the
 ///     stream's own cadence phase;
 ///   - dynamic admission: a statically-rejected stream parks on periodic
 ///     probes and joins mid-run when capacity frees up;

@@ -8,6 +8,20 @@
 
 namespace adavp::core {
 
+namespace {
+
+/// 1-second chunks at 30 FPS, as in the paper.
+constexpr int kChunkFrames = 30;
+constexpr double kIouThreshold = 0.5;
+/// Chunks are labelled with the setting maximizing the paper's accuracy
+/// metric (fraction of frames with F1 >= alpha).
+constexpr double kLabelAlpha = 0.7;
+/// A smaller size displaces a larger one only when its chunk accuracy is
+/// better by at least this margin (see the labelling loop below).
+constexpr double kLabelMargin = 0.12;
+
+}  // namespace
+
 std::vector<ChunkStats> chunk_stats(const RunResult& run,
                                     const video::SyntheticVideo& video,
                                     int chunk_frames, double iou_threshold,
@@ -66,14 +80,14 @@ TrainingReport train_adaptation(const std::vector<video::SceneConfig>& configs,
       mpdt.setting = detect::kAdaptiveSettings[s];
       mpdt.seed = options.seed ^ (config.seed * 31 + s);
       const RunResult run = run_mpdt(video, mpdt);
-      per_setting[s] = chunk_stats(run, video, options.chunk_frames,
-                                   options.iou_threshold, options.label_alpha);
+      per_setting[s] =
+          chunk_stats(run, video, kChunkFrames, kIouThreshold, kLabelAlpha);
     }
 
     const std::size_t chunks = per_setting[0].size();
     for (std::size_t c = 0; c < chunks; ++c) {
       // Label: start from the largest size and let a smaller size displace
-      // it only when its chunk accuracy is better by `label_margin`
+      // it only when its chunk accuracy is better by kLabelMargin
       // (asymmetric loss: wrongly labelling a chunk "small" hurts runtime
       // accuracy much more than wrongly labelling it "large").
       std::size_t best = 3;  // 608
@@ -81,7 +95,7 @@ TrainingReport train_adaptation(const std::vector<video::SceneConfig>& configs,
         const auto& cand = per_setting[static_cast<std::size_t>(s)][c];
         const auto& incumbent = per_setting[best][c];
         if (cand.alpha_accuracy >
-            incumbent.alpha_accuracy + options.label_margin) {
+            incumbent.alpha_accuracy + kLabelMargin) {
           best = static_cast<std::size_t>(s);
         }
       }

@@ -10,18 +10,9 @@
 
 namespace adavp::core {
 
-/// Knobs of the offline adaptation-training procedure (§IV-D3).
+/// Knobs of the offline adaptation-training procedure (§IV-D3). The
+/// chunking and labelling constants are fixed in training.cpp.
 struct TrainingOptions {
-  int chunk_frames = 30;  ///< 1-second chunks at 30 FPS, as in the paper
-  double iou_threshold = 0.5;
-  /// Chunks are labelled with the setting maximizing the paper's accuracy
-  /// metric (fraction of frames with F1 >= alpha); mean F1 breaks ties.
-  double label_alpha = 0.7;
-  /// A smaller size displaces a larger one only when its chunk accuracy is
-  /// better by at least this margin — chunk measurements are noisy, and a
-  /// mislabel toward a small size costs much more at runtime than one
-  /// toward a large size (asymmetric loss).
-  double label_margin = 0.12;
   std::uint64_t seed = 99;
 };
 

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace adavp::video {
 
@@ -92,11 +91,6 @@ FrameStore::FrameStore(const SyntheticVideo& video, FrameStoreOptions options)
   }
 }
 
-FrameStore::~FrameStore() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return inflight_prefetches_ == 0; });
-}
-
 FrameRef FrameStore::get(int index) {
   assert(index >= 0 &&
          index < static_cast<int>(slots_.size()));
@@ -104,7 +98,6 @@ FrameRef FrameStore::get(int index) {
   ref.index = index;
   ref.timestamp_ms = video_.timestamp_ms(index);
   ref.image_ptr = acquire_image(index);
-  maybe_prefetch(index);
   return ref;
 }
 
@@ -209,32 +202,6 @@ void FrameStore::trim_below(int index) {
   trim_floor_ = std::max(trim_floor_, index);
   evict_locked();
   publish_gauges_locked();
-}
-
-void FrameStore::maybe_prefetch(int index) {
-  if (options_.prefetch <= 0) return;
-  if (video_.is_precached()) return;  // nothing to warm
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  if (pool.worker_count() == 0) return;  // inline prefetch would not help
-  for (int k = 1; k <= options_.prefetch; ++k) {
-    const int j = index + k;
-    if (j >= static_cast<int>(slots_.size())) break;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (slots_[static_cast<std::size_t>(j)].state != SlotState::kEmpty) {
-        continue;
-      }
-      ++inflight_prefetches_;
-    }
-    pool.submit([this, j] {
-      acquire_image(j);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --inflight_prefetches_;
-      }
-      cv_.notify_all();
-    });
-  }
 }
 
 FrameStoreStats FrameStore::stats() const {

@@ -53,10 +53,6 @@ struct FrameStoreOptions {
   /// Row-parallelism of one on-demand rasterization (1 = serial, 0 = all
   /// hardware threads). Any value is bit-identical to serial.
   int render_threads = 1;
-  /// Frames to warm ahead of each `get` on the shared util::ThreadPool.
-  /// Ignored when the pool has no workers (prefetching inline on the
-  /// caller would defeat the point).
-  int prefetch = 0;
 };
 
 /// Counters a FrameStore accumulates over its lifetime. Available without
@@ -119,7 +115,6 @@ class FramePool {
 class FrameStore {
  public:
   explicit FrameStore(const SyntheticVideo& video, FrameStoreOptions options = {});
-  ~FrameStore();
 
   FrameStore(const FrameStore&) = delete;
   FrameStore& operator=(const FrameStore&) = delete;
@@ -149,7 +144,6 @@ class FrameStore {
   std::shared_ptr<const vision::ImageU8> acquire_image(int index);
   void evict_locked();
   void publish_gauges_locked();
-  void maybe_prefetch(int index);
 
   const SyntheticVideo& video_;
   const FrameStoreOptions options_;
@@ -161,7 +155,6 @@ class FrameStore {
   int highest_requested_ = -1;
   int trim_floor_ = 0;    ///< explicit floor from trim_below
   int evict_cursor_ = 0;  ///< slots below are already released
-  int inflight_prefetches_ = 0;
 
   // Lifetime counters (guarded by mutex_ except where noted).
   std::uint64_t renders_ = 0;

@@ -43,7 +43,9 @@ TEST(ChunkStats, VelocityCarriedAcrossQuietChunks) {
   bool seen_positive = false;
   for (const auto& chunk : chunks) {
     if (chunk.mean_velocity > 0.0) seen_positive = true;
-    if (seen_positive) EXPECT_GT(chunk.mean_velocity, 0.0);
+    if (seen_positive) {
+      EXPECT_GT(chunk.mean_velocity, 0.0);
+    }
   }
   EXPECT_TRUE(seen_positive);
 }

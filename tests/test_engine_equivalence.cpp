@@ -293,5 +293,36 @@ TEST(EngineFaults, OffloadCodecPathRunsAndReportsStatus) {
   EXPECT_EQ(digest_run(real_codec), digest_run(run_offload(video, options)));
 }
 
+// Pins offload's codec retry and local-fallback path. `every=4` fires on
+// frame 0, and `n=3` loses all three attempts the fixed retry budget allows
+// (one send plus two re-sends), so frame 0 falls back to local tiny-320
+// detection; later frames on the `every=4` lattice do too, and the stalls
+// delay the uplink of others.
+constexpr std::uint64_t kGoldenOffloadCodecFallback = 0x5AF530620661D9E7ULL;
+
+TEST(EngineFaults, OffloadCodecDropFallsBackToLocalDetection) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const auto plan = util::FaultPlan::parse(
+      "codec: drop every=4 n=3; stall every=9 ms=15", 9);
+  ASSERT_TRUE(plan.has_value());
+  OffloadOptions options;
+  options.seed = kSeed;
+  options.fault_plan = &*plan;
+  const RunResult run = run_offload(video, options);
+
+  EXPECT_EQ(run.status.code(), util::StatusCode::kDegraded)
+      << run.status.to_string();
+  EXPECT_NE(run.status.message().find("fell back to local detection"),
+            std::string::npos)
+      << run.status.message();
+  ASSERT_FALSE(run.cycles.empty());
+  EXPECT_EQ(run.cycles.front().setting, detect::ModelSetting::kYolov3Tiny_320);
+  for (const FrameResult& f : run.frames) {
+    EXPECT_NE(f.source, ResultSource::kNone) << "frame " << f.frame_index;
+  }
+  EXPECT_EQ(digest_run(run), kGoldenOffloadCodecFallback)
+      << "digest 0x" << std::hex << digest_run(run);
+}
+
 }  // namespace
 }  // namespace adavp::core

@@ -20,10 +20,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/fleet.h"
+#include "detect/detector.h"
 #include "obs/telemetry.h"
 #include "util/fault_plan.h"
 
@@ -250,6 +252,78 @@ TEST(FleetChaos, SupervisionTelemetryRecordsTheRecoveryArc) {
   EXPECT_GE(snap.counter("fleet.gpu.retries"), 1u);
   EXPECT_GE(backoffs, static_cast<std::uint64_t>(
                           chaos.streams[kCrashed].supervision.crashes));
+}
+
+// Pins the forced coast after a failed grant. Dispatches 0-5 are the six
+// streams' cycle-0 detections (solo, in stagger order), so a wedge at
+// dispatch 9 hits one stream's third cycle: the watchdog abandons it, and
+// the stream serves that frame from its reference instead.
+constexpr int kWedgedDispatch = 9;
+constexpr std::uint64_t kGoldenForcedCoast = 0x0370D78E1A92E5ABULL;
+
+TEST(FleetChaos, FailedGrantForcesACoastFromTheReference) {
+  const auto plan = util::FaultPlan::parse(
+      "gpu: wedge at=" + std::to_string(kWedgedDispatch), 0xBEE5);
+  ASSERT_TRUE(plan.has_value());
+  const std::vector<FleetStreamOptions> streams = chaos_fleet(nullptr);
+  const FleetResult fleet = run_fleet(streams, chaos_options(&*plan, true));
+
+  EXPECT_EQ(fleet.gpu.failed_dispatches, 1u);
+  int victims = 0;
+  Digest fleet_digest;
+  for (int i = 0; i < kStreams; ++i) {
+    const FleetStreamResult& s = fleet.streams[static_cast<std::size_t>(i)];
+    ASSERT_EQ(s.run.frames.size(), static_cast<std::size_t>(kFrames));
+    for (const FrameResult& f : s.run.frames) {
+      EXPECT_NE(f.source, ResultSource::kNone)
+          << s.name << " frame " << f.frame_index;
+    }
+    fleet_digest.pod(digest_run(s.run));
+    if (s.supervision.gpu_failures == 0) continue;
+    ++victims;
+
+    // The lost cycle leaves a two-cadence gap between recorded cycles; the
+    // coasted frame sits one cadence after the last detection.
+    const std::vector<CycleRecord>& cycles = s.run.cycles;
+    std::size_t before = cycles.size();
+    for (std::size_t c = 0; c + 1 < cycles.size(); ++c) {
+      if (cycles[c + 1].detected_frame - cycles[c].detected_frame > 18) {
+        before = c;
+        break;
+      }
+    }
+    ASSERT_LT(before, cycles.size()) << s.name;
+    const int coasted = cycles[before].detected_frame + 18;
+    const FrameResult& fr = s.run.frames[static_cast<std::size_t>(coasted)];
+    EXPECT_EQ(fr.source, ResultSource::kTracker) << s.name;
+
+    // Its boxes are the reference detection's, each score decayed by one
+    // 0.85 step, with anything under the 0.1 floor dropped. Replaying the
+    // stream's detector up to that reference recovers the scores.
+    const FleetStreamOptions& opts = streams[static_cast<std::size_t>(i)];
+    const video::SyntheticVideo video(opts.scene);
+    detect::SimulatedDetector detector(opts.engine.seed);
+    detect::DetectionResult ref;
+    for (std::size_t c = 0; c <= before; ++c) {
+      ref = detector.detect(video, cycles[c].detected_frame, cycles[c].setting);
+    }
+    std::vector<metrics::LabeledBox> expected;
+    for (const detect::Detection& d : ref.detections) {
+      if (d.score * 0.85f >= 0.1) expected.push_back({d.box, d.cls});
+    }
+    ASSERT_FALSE(expected.empty()) << s.name;
+    ASSERT_EQ(fr.boxes.size(), expected.size()) << s.name;
+    for (std::size_t b = 0; b < expected.size(); ++b) {
+      EXPECT_EQ(fr.boxes[b].box.left, expected[b].box.left);
+      EXPECT_EQ(fr.boxes[b].box.top, expected[b].box.top);
+      EXPECT_EQ(fr.boxes[b].cls, expected[b].cls);
+    }
+    EXPECT_EQ(s.run.status.code(), StatusCode::kDegraded)
+        << s.run.status.to_string();
+  }
+  EXPECT_EQ(victims, 1);
+  EXPECT_EQ(fleet_digest.value(), kGoldenForcedCoast)
+      << "digest 0x" << std::hex << fleet_digest.value();
 }
 
 TEST(FleetChaos, RejectedStreamJoinsMidRunWhenCapacityFrees) {

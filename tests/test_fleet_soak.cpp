@@ -103,9 +103,9 @@ std::vector<FleetStreamOptions> soak_fleet(const util::FaultPlan* plans) {
     s.setting = detect::ModelSetting::kYolov3Tiny_320;
     s.cadence_ms = 400.0;
     s.deadline_ms = 900.0;
-    // self_degrade stays false fleet-wide: a stream that changes its GPU
-    // request pattern in response to faults would (legitimately) perturb
-    // the shared schedule and void the digest-isolation claim below.
+    // Fleet streams do not degrade on faults: their GPU request pattern
+    // stays on the cadence lattice, so a faulted stream cannot perturb the
+    // shared schedule — the digest-isolation claim below relies on it.
   }
   if (plans != nullptr) {
     streams[kFaulty[0]].engine.fault_plan = &plans[0];

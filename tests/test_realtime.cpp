@@ -277,7 +277,7 @@ TEST(RealtimePipeline, FailureStatusCarriesChannelAtFrameAnnotation) {
 TEST(RealtimePipeline, CoastingBillsCoastPowerNotInferencePower) {
   // Long enough that the zero-GPU coasting tail dominates the fixed cost
   // of riding the ladder down: each of the four watchdog timeouts bills
-  // deadline_factor (2x) times the mean inference latency on the GPU rail,
+  // the watchdog deadline (2x the mean inference latency) on the GPU rail,
   // about 2.2 s of GPU time total, before the floor is reached.
   video::SyntheticVideo video(scene(21, 150));
   video.precache();
