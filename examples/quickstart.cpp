@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
 
   // 0. (--graph-out FILE [--graph-engine NAME]) dump the named engine's
   //    dataflow topology as Graphviz and exit. The graph-backed engines
-  //    (detect_only, continuous, mpdt, adavp) export the executable wiring
-  //    the run below actually schedules; the loop-based engines (realtime,
-  //    marlin, offload) export a descriptive diagram of their loop.
+  //    (detect_only, continuous, mpdt, adavp, marlin, offload) export the
+  //    executable wiring the run below actually schedules; realtime, still
+  //    hand-written threads, exports a descriptive diagram.
   //    Render with `dot -Tsvg engine.dot -o engine.svg`.
   const std::string graph_out = args.get("graph-out", "");
   if (!graph_out.empty()) {

@@ -142,6 +142,19 @@ void EngineContext::record_detection(int index,
   }
 }
 
+void EngineContext::record_tracked(int index, detect::ModelSetting setting,
+                                   double completed_ms) {
+  FrameResult& result = run.frames[static_cast<std::size_t>(index)];
+  result.source = ResultSource::kTracker;
+  result.boxes = tracker().current_boxes();
+  result.setting = setting;
+  result.staleness_ms = completed_ms - capture_time_ms(index);
+  if (slo_tracker_.has_value()) {
+    slo_tracker_->on_result(completed_ms, result.staleness_ms,
+                            /*coasted=*/false);
+  }
+}
+
 EngineContext::Catchup EngineContext::track_catchup(
     int ref_index, const std::vector<detect::Detection>& ref_detections,
     int next_index, double cycle_start, double cycle_end,
@@ -195,22 +208,13 @@ EngineContext::Catchup EngineContext::track_catchup(
     cpu_clock += step_cost;
     meter.add_cpu_busy(energy::PowerModel::cpu_track_w(), step_cost);
 
-    FrameResult& result = run.frames[static_cast<std::size_t>(frame_index)];
-    result.source = ResultSource::kTracker;
-    result.boxes = tracker().current_boxes();
-    result.setting = result_setting;
-    result.staleness_ms = cpu_clock - capture_time_ms(frame_index);
-    if (slo_tracker_.has_value()) {
-      slo_tracker_->on_result(cpu_clock, result.staleness_ms,
-                              /*coasted=*/false);
-    }
+    record_tracked(frame_index, result_setting, cpu_clock);
     ++out.tracked;
     prev_offset = offset;
   }
   if (out.frames_between > 0) {
     selector.update(std::max(out.tracked, 1), out.frames_between);
   }
-  out.cpu_end_ms = cpu_clock;
   out.mean_velocity = velocity.mean_velocity();
   out.velocity_steps = velocity.step_count();
   return out;

@@ -116,8 +116,8 @@ class EngineContext {
   detect::DetectionResult detect(int frame_index, detect::ModelSetting setting);
 
   /// detect() plus the on-device GPU energy of the inference (`continuous`
-  /// selects the saturated no-frame-skipping operating point). Offload
-  /// does not use this: its inference runs remotely and bills the radio.
+  /// selects the saturated no-frame-skipping operating point). Offload's
+  /// remote detections call detect() and bill the radio instead.
   detect::DetectionResult detect_on_gpu(int frame_index,
                                         detect::ModelSetting setting,
                                         bool continuous = false);
@@ -127,11 +127,15 @@ class EngineContext {
   void record_detection(int index, const detect::DetectionResult& det,
                         detect::ModelSetting setting, double completed_ms);
 
+  /// Writes frame `index`'s result from the tracker's current boxes, the
+  /// tracking step having completed at `completed_ms` of pipeline time.
+  void record_tracked(int index, detect::ModelSetting setting,
+                      double completed_ms);
+
   // --- the shared tracker-side cycle (§IV-B/C) ---------------------------
   struct Catchup {
     int frames_between = 0;  ///< f_t of the frame-selection scheme
     int tracked = 0;         ///< h_t
-    double cpu_end_ms = 0.0;  ///< CPU clock when the batch finished
     double mean_velocity = 0.0;  ///< Eq. 3 average (0 when nothing tracked)
     int velocity_steps = 0;      ///< steps with at least one live feature
   };
@@ -150,7 +154,7 @@ class EngineContext {
 
   // --- outcome -----------------------------------------------------------
   /// The run's SLO tracker (nullptr when EngineOptions::slo is null).
-  /// record_detection and track_catchup feed it automatically; engines
+  /// record_detection and record_tracked feed it automatically; engines
   /// with out-of-band results (realtime coasting) feed it directly.
   obs::SloTracker* slo_tracker() {
     return slo_tracker_.has_value() ? &*slo_tracker_ : nullptr;

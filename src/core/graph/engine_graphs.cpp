@@ -9,9 +9,9 @@ namespace adavp::core::graph {
 
 namespace {
 
-/// Port-and-name-only node for the descriptive diagrams of engines that
-/// still run their hard-coded loops (marlin / realtime / offload). Never
-/// scheduled: the topology exists purely for to_dot().
+/// Port-and-name-only node for the descriptive diagram of the realtime
+/// engine, which still runs its hand-written threads. Never scheduled: the
+/// topology exists purely for to_dot().
 class StubNode : public Node {
  public:
   StubNode(std::string name, std::vector<std::string> ins,
@@ -24,27 +24,6 @@ class StubNode : public Node {
     throw GraphError(name() + ": descriptive-only node cannot run");
   }
 };
-
-Graph descriptive_marlin() {
-  Graph g;
-  g.set_name("run_marlin");
-  auto& camera = g.add<StubNode>("camera", std::vector<std::string>{"tick"},
-                                std::vector<std::string>{"frame"});
-  auto& tracker = g.add<StubNode>(
-      "tracker", std::vector<std::string>{"frame", "reference"},
-      std::vector<std::string>{"boxes", "scene_change"});
-  auto& detector =
-      g.add<StubNode>("detector", std::vector<std::string>{"scene_change"},
-                      std::vector<std::string>{"reference"});
-  auto& sink = g.add<StubNode>("sink", std::vector<std::string>{"boxes"},
-                               std::vector<std::string>{"tick"});
-  g.connect(camera, "frame", tracker, "frame");
-  g.connect(tracker, "scene_change", detector, "scene_change");
-  g.connect(detector, "reference", tracker, "reference");
-  g.connect(tracker, "boxes", sink, "boxes");
-  g.connect(sink, "tick", camera, "tick");
-  return g;
-}
 
 Graph descriptive_realtime() {
   Graph g;
@@ -75,33 +54,6 @@ Graph descriptive_realtime() {
   return g;
 }
 
-Graph descriptive_offload() {
-  Graph g;
-  g.set_name("run_offload");
-  auto& camera = g.add<StubNode>("camera", std::vector<std::string>{"tick"},
-                                std::vector<std::string>{"frame"});
-  auto& encoder = g.add<StubNode>("encoder", std::vector<std::string>{"frame"},
-                                  std::vector<std::string>{"bitstream"});
-  auto& uplink =
-      g.add<StubNode>("uplink", std::vector<std::string>{"bitstream"},
-                      std::vector<std::string>{"remote_frame"});
-  auto& server =
-      g.add<StubNode>("server", std::vector<std::string>{"remote_frame"},
-                      std::vector<std::string>{"detections"});
-  auto& downlink =
-      g.add<StubNode>("downlink", std::vector<std::string>{"detections"},
-                      std::vector<std::string>{"detections"});
-  auto& sink = g.add<StubNode>("sink", std::vector<std::string>{"detections"},
-                               std::vector<std::string>{"tick"});
-  g.connect(camera, "frame", encoder, "frame");
-  g.connect(encoder, "bitstream", uplink, "bitstream");
-  g.connect(uplink, "remote_frame", server, "remote_frame");
-  g.connect(server, "detections", downlink, "detections");
-  g.connect(downlink, "detections", sink, "detections");
-  g.connect(sink, "tick", camera, "tick");
-  return g;
-}
-
 }  // namespace
 
 Graph build_detect_only_graph(EngineContext& ctx,
@@ -112,7 +64,7 @@ Graph build_detect_only_graph(EngineContext& ctx,
       g.add<CameraSourceNode>(ctx, CameraSourceNode::Mode::kFeedback, setting);
   auto& detector = g.add<DetectorNode>(ctx, /*continuous_power=*/false,
                                        /*emit_detect_span=*/true);
-  auto& sink = g.add<SinkNode>(ctx, SinkNode::Mode::kDetectOnly);
+  auto& sink = g.add<SinkNode>(ctx, SinkNode::Mode::kDetectOnly, "detect_only");
   g.connect(camera, "frame", detector, "frame");
   g.connect(detector, "event", sink, "event");
   g.connect(sink, "tick", camera, "tick");
@@ -128,8 +80,8 @@ Graph build_continuous_graph(EngineContext& ctx, detect::ModelSetting setting,
       ctx, CameraSourceNode::Mode::kEveryFrame, setting);
   auto& detector = g.add<DetectorNode>(ctx, /*continuous_power=*/true,
                                        /*emit_detect_span=*/true);
-  auto& sink =
-      g.add<SinkNode>(ctx, SinkNode::Mode::kContinuous, cpu_feed_w);
+  auto& sink = g.add<SinkNode>(ctx, SinkNode::Mode::kContinuous, "continuous",
+                               cpu_feed_w);
   // Bounded queues pace the free-running camera: the downstream-first
   // scheduler keeps at most one packet in flight per edge, and the bound
   // guarantees it even under a different scan policy.
@@ -148,8 +100,9 @@ Graph build_mpdt_graph(EngineContext& ctx, detect::ModelSetting setting,
   auto& adapt_node = g.add<AdapterNode>(ctx, adapter, setting);
   auto& detector = g.add<DetectorNode>(ctx, /*continuous_power=*/false,
                                        /*emit_detect_span=*/false);
-  auto& catchup = g.add<TrackerCatchupNode>(ctx, selection);
-  auto& sink = g.add<SinkNode>(ctx, SinkNode::Mode::kMpdt);
+  auto& catchup =
+      g.add<TrackerCatchupNode>(ctx, selection, /*carry_velocity=*/true);
+  auto& sink = g.add<SinkNode>(ctx, SinkNode::Mode::kMpdt, "mpdt");
   g.connect(camera, "frame", adapt_node, "frame");
   g.connect(adapt_node, "frame", detector, "frame");
   g.connect(detector, "event", catchup, "event");
@@ -161,9 +114,7 @@ Graph build_mpdt_graph(EngineContext& ctx, detect::ModelSetting setting,
 }
 
 std::string engine_topology_dot(const std::string& engine) {
-  if (engine == "marlin") return descriptive_marlin().to_dot();
   if (engine == "realtime") return descriptive_realtime().to_dot();
-  if (engine == "offload") return descriptive_offload().to_dot();
 
   // The graph-backed engines export their *executable* wiring: build the real
   // graph over a throwaway one-frame context and dump it without running.
@@ -189,6 +140,8 @@ std::string engine_topology_dot(const std::string& engine) {
                             SelectionPolicy::kAdaptiveFraction)
         .to_dot();
   }
+  if (engine == "marlin") return build_marlin_graph(ctx, {}).to_dot();
+  if (engine == "offload") return build_offload_graph(ctx, {}).to_dot();
   throw GraphError("unknown engine '" + engine + "' (expected mpdt, adavp, "
                    "detect_only, continuous, marlin, realtime, or offload)");
 }

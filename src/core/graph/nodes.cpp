@@ -118,14 +118,20 @@ void DetectorNode::process(NodeRun& run) {
   } else {
     det = ctx_.detect_on_gpu(ticket.index, ticket.setting, continuous_power_);
   }
-  run.emit(event_out_, DetectionEvent{ticket, std::move(det)}, p.ts_ms());
+  const double done = ticket.start_ms + det.latency_ms;
+  run.emit(event_out_, DetectionEvent{ticket, std::move(det), done},
+           p.ts_ms());
 }
 
 // --- TrackerCatchupNode ------------------------------------------------------
 
 TrackerCatchupNode::TrackerCatchupNode(EngineContext& ctx,
-                                       SelectionPolicy selection)
-    : Node("catchup"), ctx_(ctx), selection_(selection) {
+                                       SelectionPolicy selection,
+                                       bool carry_velocity)
+    : Node("catchup"),
+      ctx_(ctx),
+      selection_(selection),
+      carry_velocity_(carry_velocity) {
   event_in_ = declare_input<DetectionEvent>("event");
   cycle_out_ = declare_output<TrackedCycle>("cycle");
   velocity_out_ = declare_output<VelocitySample>("velocity");
@@ -135,7 +141,7 @@ void TrackerCatchupNode::process(NodeRun& run) {
   const Packet p = run.take(event_in_);
   const DetectionEvent& ev = p.get<DetectionEvent>();
   const double cycle_start = ev.ticket.start_ms;
-  const double cycle_end = cycle_start + ev.det.latency_ms;
+  const double cycle_end = ev.done_ms;
 
   TrackedCycle out{ev, cycle_end, 0, 0, 0.0};
   if (!ev.ticket.initial) {
@@ -148,10 +154,9 @@ void TrackerCatchupNode::process(NodeRun& run) {
     }
     out.frames_between = batch.frames_between;
     out.tracked = batch.tracked;
-    // A cycle whose batch was fully cancelled reports the last measured
-    // velocity.
-    out.report_velocity =
-        batch.velocity_steps > 0 ? batch.mean_velocity : prev_velocity_;
+    out.report_velocity = batch.velocity_steps > 0 || !carry_velocity_
+                              ? batch.mean_velocity
+                              : prev_velocity_;
   }
   ref_index_ = ev.ticket.index;
   ref_detections_ = ev.det.detections;
@@ -160,17 +165,15 @@ void TrackerCatchupNode::process(NodeRun& run) {
 
 // --- SinkNode ----------------------------------------------------------------
 
-SinkNode::SinkNode(EngineContext& ctx, Mode mode, double cpu_feed_w)
-    : Node("sink"), ctx_(ctx), mode_(mode), cpu_feed_w_(cpu_feed_w) {
-  switch (mode_) {
-    case Mode::kDetectOnly:
-    case Mode::kContinuous:
-      in_ = declare_input<DetectionEvent>("event");
-      break;
-    case Mode::kMpdt:
-      in_ = declare_input<TrackedCycle>("cycle");
-      break;
-  }
+SinkNode::SinkNode(EngineContext& ctx, Mode mode, std::string metric_prefix,
+                   double cpu_feed_w)
+    : Node("sink"),
+      ctx_(ctx),
+      mode_(mode),
+      prefix_(std::move(metric_prefix)),
+      cpu_feed_w_(cpu_feed_w) {
+  in_ = mode_ == Mode::kMpdt ? declare_input<TrackedCycle>("cycle")
+                             : declare_input<DetectionEvent>("event");
   if (mode_ != Mode::kContinuous) {
     tick_out_ = declare_output<CycleTick>("tick");
   }
@@ -178,70 +181,55 @@ SinkNode::SinkNode(EngineContext& ctx, Mode mode, double cpu_feed_w)
 
 void SinkNode::process(NodeRun& run) {
   const Packet p = run.take(in_);
-  switch (mode_) {
-    case Mode::kDetectOnly: {
-      const DetectionEvent& ev = p.get<DetectionEvent>();
-      const double t = ev.ticket.start_ms + ev.det.latency_ms;
-      ctx_.record_detection(ev.ticket.index, ev.det, ev.ticket.setting, t);
-      // `t - latency` (not start_ms): the cycle start the golden digests
-      // pin is the rounded `(start + latency) - latency`.
-      ctx_.run.cycles.push_back(
-          {ev.ticket.index, ev.ticket.setting, t - ev.det.latency_ms, t, 0, 0,
-           0.0});
-      if (obs::Telemetry::enabled()) {
-        obs::MetricsRegistry& reg = obs::metrics();
-        reg.counter("detect_only", "cycles").add();
-        reg.latency_histogram("detect_only", "cycle_ms")
-            .record(ev.det.latency_ms);
-      }
-      ctx_.clock->set(t);
-      run.emit(tick_out_, CycleTick{ev.ticket.index, t}, t);
-      break;
+  if (mode_ == Mode::kMpdt) {
+    const TrackedCycle& c = p.get<TrackedCycle>();
+    const FrameTicket& ticket = c.event.ticket;
+    ctx_.record_detection(ticket.index, c.event.det, ticket.setting,
+                          c.cycle_end_ms);
+    ctx_.run.cycles.push_back({ticket.index, ticket.setting, ticket.start_ms,
+                               c.cycle_end_ms, c.frames_between, c.tracked,
+                               c.report_velocity});
+    if (!ticket.initial && obs::Telemetry::enabled()) {
+      // Virtual-time pipeline: cycle durations are modeled, not
+      // wall-clock, so they land in metrics (not the span tracer, which
+      // is steady-clock).
+      obs::MetricsRegistry& reg = obs::metrics();
+      reg.counter(prefix_, "cycles").add();
+      reg.counter(prefix_, "frames_tracked")
+          .add(static_cast<std::uint64_t>(c.tracked));
+      reg.latency_histogram(prefix_, "cycle_ms")
+          .record(c.cycle_end_ms - ticket.start_ms);
+      reg.histogram(prefix_, "backlog_frames",
+                    {1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64})
+          .record(static_cast<double>(c.frames_between));
     }
-    case Mode::kContinuous: {
-      const DetectionEvent& ev = p.get<DetectionEvent>();
-      ctx_.meter.add_cpu_busy(cpu_feed_w_, ev.det.latency_ms);
-      ctx_.clock->occupy(ev.det.latency_ms);
-      const double t = ctx_.clock->now_ms();
-      ctx_.record_detection(ev.ticket.index, ev.det, ev.ticket.setting, t);
-      ctx_.run.cycles.push_back(
-          {ev.ticket.index, ev.ticket.setting, t - ev.det.latency_ms, t, 0, 0,
-           0.0});
-      if (obs::Telemetry::enabled()) {
-        obs::MetricsRegistry& reg = obs::metrics();
-        reg.counter("continuous", "cycles").add();
-        reg.latency_histogram("continuous", "cycle_ms")
-            .record(ev.det.latency_ms);
-      }
-      break;
-    }
-    case Mode::kMpdt: {
-      const TrackedCycle& c = p.get<TrackedCycle>();
-      const FrameTicket& ticket = c.event.ticket;
-      ctx_.record_detection(ticket.index, c.event.det, ticket.setting,
-                            c.cycle_end_ms);
-      ctx_.run.cycles.push_back({ticket.index, ticket.setting, ticket.start_ms,
-                                 c.cycle_end_ms, c.frames_between, c.tracked,
-                                 c.report_velocity});
-      if (!ticket.initial && obs::Telemetry::enabled()) {
-        // Virtual-time pipeline: cycle durations are modeled, not
-        // wall-clock, so they land in metrics (not the span tracer, which
-        // is steady-clock).
-        obs::MetricsRegistry& reg = obs::metrics();
-        reg.counter("mpdt", "cycles").add();
-        reg.counter("mpdt", "frames_tracked")
-            .add(static_cast<std::uint64_t>(c.tracked));
-        reg.latency_histogram("mpdt", "cycle_ms")
-            .record(c.cycle_end_ms - ticket.start_ms);
-        reg.histogram("mpdt", "backlog_frames",
-                      {1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64})
-            .record(static_cast<double>(c.frames_between));
-      }
-      ctx_.clock->set(c.cycle_end_ms);
-      run.emit(tick_out_, CycleTick{ticket.index, c.cycle_end_ms},
-               c.cycle_end_ms);
-      break;
-    }
+    ctx_.clock->set(c.cycle_end_ms);
+    run.emit(tick_out_, CycleTick{ticket.index, c.cycle_end_ms},
+             c.cycle_end_ms);
+    return;
+  }
+
+  const DetectionEvent& ev = p.get<DetectionEvent>();
+  double t = ev.done_ms;
+  if (mode_ == Mode::kContinuous) {
+    // Back-to-back inference: the sink's occupy() owns the clock.
+    ctx_.meter.add_cpu_busy(cpu_feed_w_, ev.det.latency_ms);
+    ctx_.clock->occupy(ev.det.latency_ms);
+    t = ctx_.clock->now_ms();
+  }
+  ctx_.record_detection(ev.ticket.index, ev.det, ev.ticket.setting, t);
+  // `t - latency` (not start_ms): the cycle start the golden digests pin
+  // is the rounded `(start + latency) - latency`.
+  ctx_.run.cycles.push_back({ev.ticket.index, ev.ticket.setting,
+                             t - ev.det.latency_ms, t, 0, 0, 0.0});
+  if (obs::Telemetry::enabled()) {
+    obs::MetricsRegistry& reg = obs::metrics();
+    reg.counter(prefix_, "cycles").add();
+    reg.latency_histogram(prefix_, "cycle_ms").record(ev.det.latency_ms);
+  }
+  if (mode_ == Mode::kDetectOnly) {
+    ctx_.clock->set(t);
+    run.emit(tick_out_, CycleTick{ev.ticket.index, t}, t);
   }
 }
 

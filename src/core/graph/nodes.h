@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "adapt/adapter.h"
@@ -30,6 +31,9 @@ struct FrameTicket {
 struct DetectionEvent {
   FrameTicket ticket;
   detect::DetectionResult det;
+  /// When the result is in hand, as its producer computes it: `start +
+  /// latency` on the device; offload adds its round trip and any fallback.
+  double done_ms = 0.0;
 };
 
 /// One detect cycle after the tracker-side catch-up batch ran against it.
@@ -57,12 +61,12 @@ struct VelocitySample {
 
 /// The engine ring's frame scheduler. Two modes:
 ///
-///  * kFeedback (detect-only, MPDT): input "tick" (CycleTick, primed to
-///    start the ring), output "frame". The first activation emits frame 0
-///    at its capture time; each later tick picks the newest frame captured
-///    by tick time (waiting one capture interval when the detector outpaced
-///    the camera) and stops emitting once the tick reports the last frame —
-///    the ring quiesces and the run completes.
+///  * kFeedback (detect-only, MPDT, MARLIN, offload): input "tick"
+///    (CycleTick, primed to start the ring), output "frame". The first
+///    activation emits frame 0 at its capture time; each later tick picks
+///    the newest frame captured by tick time (waiting one capture interval
+///    when the detector outpaced the camera) and stops emitting once the
+///    tick reports the last frame — the ring quiesces and the run completes.
 ///  * kEveryFrame (continuous): no inputs; emits every frame index in order
 ///    and reports exhausted() after the last. Downstream backpressure is
 ///    what paces it.
@@ -111,10 +115,10 @@ class AdapterNode : public Node {
 };
 
 /// One fault-wrapped, GPU-billed detection per ticket
-/// (EngineContext::detect_on_gpu). `continuous_power` selects the saturated
-/// no-frame-skipping operating point; `emit_detect_span` opens the
-/// per-detect wall-clock span of the detect-only and continuous baselines
-/// (the virtual-time MPDT engine has none).
+/// (EngineContext::detect_on_gpu). `continuous_power` selects the
+/// saturated no-frame-skipping operating point; `emit_detect_span` opens
+/// the per-detect wall-clock span of the detect-only and continuous
+/// baselines (the virtual-time engines have none).
 class DetectorNode : public Node {
  public:
   DetectorNode(EngineContext& ctx, bool continuous_power,
@@ -134,16 +138,19 @@ class DetectorNode : public Node {
 /// detection, runs EngineContext::track_catchup across the frames buffered
 /// while the detector (virtually) occupied the cycle, and feeds the mean
 /// velocity back to the adapter. The initial ticket only arms the
-/// reference.
+/// reference. A fully cancelled batch logs the last measured velocity
+/// when `carry_velocity` is set (MPDT), 0 otherwise (offload).
 class TrackerCatchupNode : public Node {
  public:
-  TrackerCatchupNode(EngineContext& ctx, SelectionPolicy selection);
+  TrackerCatchupNode(EngineContext& ctx, SelectionPolicy selection,
+                     bool carry_velocity);
 
   void process(NodeRun& run) override;
 
  private:
   EngineContext& ctx_;
   const SelectionPolicy selection_;
+  const bool carry_velocity_;
   int ref_index_ = 0;
   std::vector<detect::Detection> ref_detections_;
   double prev_velocity_ = 0.0;
@@ -153,23 +160,25 @@ class TrackerCatchupNode : public Node {
 };
 
 /// Assembles RunResult: records the detection, appends the cycle record,
-/// logs the engine's metrics, advances the run clock, and (in the ring
-/// modes) emits the CycleTick that clocks the camera. One mode per
-/// graph-backed engine, each with its own float arithmetic for the cycle
-/// times, which the golden digests pin bit-for-bit.
+/// logs the engine's metrics under `metric_prefix`, advances the run
+/// clock, and (in the ring modes) emits the CycleTick that clocks the
+/// camera. One mode per cycle shape, each with its own float arithmetic
+/// for the cycle times, which the golden digests pin bit-for-bit.
 class SinkNode : public Node {
  public:
   enum class Mode { kDetectOnly, kContinuous, kMpdt };
 
   /// `cpu_feed_w` is only read in kContinuous mode (the CPU power of
   /// feeding the saturated detector).
-  SinkNode(EngineContext& ctx, Mode mode, double cpu_feed_w = 0.0);
+  SinkNode(EngineContext& ctx, Mode mode, std::string metric_prefix,
+           double cpu_feed_w = 0.0);
 
   void process(NodeRun& run) override;
 
  private:
   EngineContext& ctx_;
   const Mode mode_;
+  const std::string prefix_;
   const double cpu_feed_w_;
   int in_ = -1;
   int tick_out_ = -1;  ///< -1 in kContinuous (no ring)

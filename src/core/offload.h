@@ -51,11 +51,11 @@ struct OffloadOptions {
 /// Total mean latency of one offloaded detection (transmit + RTT + server).
 double offload_round_trip_ms(const OffloadOptions& options);
 
-/// Runs the offloading pipeline on the virtual-time engine: remote
-/// YOLOv3-608 detections arriving `offload_round_trip_ms` late, local
-/// tracking in between (same parallel structure as MPDT — it shares the
-/// runtime's catch-up loop). Radio energy is charged to the CPU rail as a
-/// transmit-power segment.
+/// Runs the offloading pipeline on the virtual-time engine: MPDT's graph
+/// ring without the adapter, its detector a remote backend whose
+/// YOLOv3-608 detections arrive `offload_round_trip_ms` late, with local
+/// tracking in between (see build_offload_graph). Radio energy is charged
+/// to the CPU rail as a transmit-power segment.
 RunResult run_offload(const video::SyntheticVideo& video,
                       const OffloadOptions& options);
 

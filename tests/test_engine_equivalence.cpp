@@ -15,9 +15,9 @@
 //
 //  2. Fault determinism: a seeded fault-injected run (detector + camera +
 //     tracker channels) replays bit-identically across repeats and across
-//     vision-kernel thread counts, on MPDT and on a baseline; and the
-//     graph-backed engines (detect-only, continuous, MPDT fixed + AdaVP)
-//     match chaos goldens under that seeded plan.
+//     vision-kernel thread counts, on MPDT and on a baseline; and every
+//     engine (detect-only, continuous, MPDT fixed + AdaVP, MARLIN,
+//     offload) matches a chaos golden under that seeded plan.
 //
 // The goldens are the contract of the core::graph engine specs
 // (DESIGN.md §16): the canonical FNV-1a digest lives in run_result_digest.h.
@@ -149,15 +149,21 @@ util::FaultPlan chaos_plan() {
 // while the retired hand-written loops still ran alongside the graphs and
 // both produced these exact digests and fault counts. They pin the
 // fault-billing interleave (which node consumes which fault draw, in what
-// order) that the fault-free goldens cannot see.
+// order) that the fault-free goldens cannot see. MARLIN's and offload's
+// were captured on their hand-written loops just before those became
+// graph specs.
 constexpr std::uint64_t kGoldenChaosDetectOnly = 0xABDD10B822E68443ULL;
 constexpr std::uint64_t kGoldenChaosContinuous = 0xD821D21110DCD441ULL;
 constexpr std::uint64_t kGoldenChaosMpdtFixed = 0x2FEDB10F7F1021EBULL;
 constexpr std::uint64_t kGoldenChaosAdaVp = 0xB8A4C286373F8445ULL;
+constexpr std::uint64_t kGoldenChaosMarlin = 0x9AD507C8A43B054FULL;
+constexpr std::uint64_t kGoldenChaosOffload = 0x804E840DDB892C7AULL;
 constexpr std::uint64_t kChaosFaultsDetectOnly = 3;
 constexpr std::uint64_t kChaosFaultsContinuous = 23;
 constexpr std::uint64_t kChaosFaultsMpdtFixed = 6;
 constexpr std::uint64_t kChaosFaultsAdaVp = 8;
+constexpr std::uint64_t kChaosFaultsMarlin = 7;
+constexpr std::uint64_t kChaosFaultsOffload = 12;
 
 void expect_chaos_golden(const RunResult& run, std::uint64_t golden,
                          std::uint64_t faults) {
@@ -210,6 +216,26 @@ TEST(EngineChaosGoldens, AdaVp) {
                       kChaosFaultsAdaVp);
 }
 
+TEST(EngineChaosGoldens, Marlin) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const util::FaultPlan plan = chaos_plan();
+  MarlinOptions options;
+  options.seed = kSeed;
+  options.fault_plan = &plan;
+  expect_chaos_golden(run_marlin(video, options), kGoldenChaosMarlin,
+                      kChaosFaultsMarlin);
+}
+
+TEST(EngineChaosGoldens, Offload) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const util::FaultPlan plan = chaos_plan();
+  OffloadOptions options;
+  options.seed = kSeed;
+  options.fault_plan = &plan;
+  expect_chaos_golden(run_offload(video, options), kGoldenChaosOffload,
+                      kChaosFaultsOffload);
+}
+
 TEST(EngineFaults, MpdtFaultReplayIsBitIdenticalAcrossRepeats) {
   const video::SyntheticVideo video(equivalence_scene());
   const util::FaultPlan plan = chaos_plan();
@@ -257,24 +283,45 @@ TEST(EngineFaults, MarlinAcceptsTheSamePlanAndReplaysBitIdentically) {
       << a.status.to_string();
 }
 
-TEST(EngineFaults, InjectedThrowBecomesWorkerFailureNotAnAbort) {
-  const video::SyntheticVideo video(equivalence_scene());
-  const auto plan = util::FaultPlan::parse("detector: throw every=1", 9);
-  ASSERT_TRUE(plan.has_value());
-  MpdtOptions options;
-  options.seed = kSeed;
-  options.fault_plan = &*plan;
-  const RunResult run = run_mpdt(video, options);
-  EXPECT_EQ(run.status.code(), util::StatusCode::kWorkerFailure);
+void expect_worker_failure(const RunResult& run, const std::string& engine,
+                           int frame_count) {
+  EXPECT_EQ(run.status.code(), util::StatusCode::kWorkerFailure)
+      << run.status.to_string();
   EXPECT_TRUE(run.status.failed());
-  EXPECT_NE(run.status.message().find("mpdt engine"), std::string::npos)
+  EXPECT_NE(run.status.message().find(engine + " engine"), std::string::npos)
       << run.status.message();
   // The graph names the node that threw.
   EXPECT_NE(run.status.message().find("detector"), std::string::npos)
       << run.status.message();
   // The partial result is still well-formed.
-  EXPECT_EQ(run.frames.size(), static_cast<std::size_t>(video.frame_count()));
+  EXPECT_EQ(run.frames.size(), static_cast<std::size_t>(frame_count));
 }
+
+TEST(EngineFaults, InjectedThrowBecomesWorkerFailureNotAnAbort) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const auto plan = util::FaultPlan::parse("detector: throw every=1", 9);
+  ASSERT_TRUE(plan.has_value());
+  const int frames = video.frame_count();
+
+  MpdtOptions mpdt;
+  mpdt.seed = kSeed;
+  mpdt.fault_plan = &*plan;
+  expect_worker_failure(run_mpdt(video, mpdt), "mpdt", frames);
+
+  MarlinOptions marlin;
+  marlin.seed = kSeed;
+  marlin.fault_plan = &*plan;
+  expect_worker_failure(run_marlin(video, marlin), "marlin", frames);
+
+  OffloadOptions offload;
+  offload.seed = kSeed;
+  offload.fault_plan = &*plan;
+  expect_worker_failure(run_offload(video, offload), "offload", frames);
+}
+
+// Pins offload's real-codec upload path at quality 60: the transmit times
+// come from the actual compressed sizes.
+constexpr std::uint64_t kGoldenOffloadCodec60 = 0xD048B4B4672F4E25ULL;
 
 TEST(EngineFaults, OffloadCodecPathRunsAndReportsStatus) {
   const video::SyntheticVideo video(equivalence_scene());
@@ -291,6 +338,8 @@ TEST(EngineFaults, OffloadCodecPathRunsAndReportsStatus) {
   EXPECT_NE(digest_run(real_codec), digest_run(run_offload(video, flat)));
   // And the codec path replays deterministically too.
   EXPECT_EQ(digest_run(real_codec), digest_run(run_offload(video, options)));
+  EXPECT_EQ(digest_run(real_codec), kGoldenOffloadCodec60)
+      << "digest 0x" << std::hex << digest_run(real_codec);
 }
 
 // Pins offload's codec retry and local-fallback path. `every=4` fires on
@@ -322,6 +371,46 @@ TEST(EngineFaults, OffloadCodecDropFallsBackToLocalDetection) {
   }
   EXPECT_EQ(digest_run(run), kGoldenOffloadCodecFallback)
       << "digest 0x" << std::hex << digest_run(run);
+}
+
+// --- SLO accounting --------------------------------------------------------
+
+// Every detected or tracked frame result is one SLO sample: the windows'
+// result counts add up to the engine's kDetector plus kTracker frames.
+void expect_slo_counts_every_result(const RunResult& run) {
+  ASSERT_TRUE(run.slo.evaluated);
+  std::uint64_t produced = 0;
+  for (const FrameResult& f : run.frames) {
+    if (f.source == ResultSource::kDetector ||
+        f.source == ResultSource::kTracker) {
+      ++produced;
+    }
+  }
+  std::uint64_t counted = 0;
+  for (const obs::SloWindow& w : run.slo.windows) counted += w.results;
+  EXPECT_GT(produced, 0u);
+  EXPECT_EQ(counted, produced);
+}
+
+TEST(EngineSlo, EveryDetectedAndTrackedFrameReachesTheSloWindows) {
+  const video::SyntheticVideo video(equivalence_scene());
+  const auto slo = obs::SloSpec::parse("fps=10 deadline_ms=400");
+  ASSERT_TRUE(slo.has_value());
+
+  MpdtOptions mpdt;
+  mpdt.seed = kSeed;
+  mpdt.slo = &*slo;
+  expect_slo_counts_every_result(run_mpdt(video, mpdt));
+
+  MarlinOptions marlin;
+  marlin.seed = kSeed;
+  marlin.slo = &*slo;
+  expect_slo_counts_every_result(run_marlin(video, marlin));
+
+  OffloadOptions offload;
+  offload.seed = kSeed;
+  offload.slo = &*slo;
+  expect_slo_counts_every_result(run_offload(video, offload));
 }
 
 }  // namespace

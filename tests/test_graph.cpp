@@ -331,12 +331,25 @@ TEST(GraphIntrospection, ToDotExportsTheWiredTopology) {
   EXPECT_NE(dot.find("style=dashed"), std::string::npos)
       << "primed feedback edge must be dashed: " << dot;
 
-  // Legacy engines export descriptive diagrams so --graph-out covers the
-  // whole engine table.
+  // Offload is MPDT's ring without the adapter, its detector remote.
+  const std::string offload = engine_topology_dot("offload");
+  EXPECT_NE(offload.find("digraph \"run_offload\""), std::string::npos)
+      << offload;
+  EXPECT_NE(offload.find("\"detector\" -> \"catchup\""), std::string::npos)
+      << offload;
+
+  // MARLIN's tracker clocks the camera over the primed feedback edge.
+  const std::string marlin = engine_topology_dot("marlin");
+  EXPECT_NE(marlin.find("digraph \"run_marlin\""), std::string::npos)
+      << marlin;
+  EXPECT_NE(marlin.find("\"tracker\" -> \"camera\" [label=\"tick -> tick "
+                        "cap=1\", style=dashed]"),
+            std::string::npos)
+      << marlin;
+
+  // Realtime, still hand-written threads, exports a descriptive diagram so
+  // --graph-out covers the whole engine table.
   EXPECT_NE(engine_topology_dot("realtime").find("degradation"),
-            std::string::npos);
-  EXPECT_NE(engine_topology_dot("offload").find("uplink"), std::string::npos);
-  EXPECT_NE(engine_topology_dot("marlin").find("scene_change"),
             std::string::npos);
   EXPECT_THROW(engine_topology_dot("warp_drive"), GraphError);
 }

@@ -4,6 +4,8 @@
 #include "core/offload.h"
 #include "core/scoring.h"
 #include "metrics/accuracy.h"
+#include "obs/telemetry.h"
+#include "util/fault_plan.h"
 
 namespace adavp::core {
 namespace {
@@ -97,6 +99,36 @@ TEST(Offload, DeterministicGivenSeed) {
   for (std::size_t i = 0; i < a.frames.size(); ++i) {
     EXPECT_EQ(a.frames[i].boxes.size(), b.frames[i].boxes.size());
   }
+}
+
+TEST(Offload, MetricsCountCyclesAndRoundTripsSeparately) {
+  // `drop every=4 n=3` spends the whole retry budget on every fourth frame,
+  // so some cycles detect locally and make no round trip.
+  const auto plan = util::FaultPlan::parse("codec: drop every=4 n=3", 9);
+  ASSERT_TRUE(plan.has_value());
+  const video::SyntheticVideo video(scene(15, 120));
+  OffloadOptions options;
+  options.fault_plan = &*plan;
+  obs::Telemetry::set_enabled(true);
+  obs::Telemetry::instance().reset();
+  const RunResult run = run_offload(video, options);
+  const obs::MetricsSnapshot snap = obs::Telemetry::instance().snapshot();
+  obs::Telemetry::instance().reset();
+  obs::Telemetry::set_enabled(false);
+
+  ASSERT_GT(run.cycles.size(), 1u);
+  // Every cycle after frame 0's prologue counts, remote or local.
+  EXPECT_EQ(snap.counter("offload.cycles"), run.cycles.size() - 1);
+  const std::uint64_t fallbacks = snap.counter("offload.local_fallbacks");
+  EXPECT_GT(fallbacks, 0u);
+  const auto* round_trips = snap.histogram("offload.round_trip_ms");
+  ASSERT_NE(round_trips, nullptr);
+  EXPECT_EQ(round_trips->count, run.cycles.size() - fallbacks);
+  std::uint64_t tracked = 0;
+  for (const CycleRecord& c : run.cycles) {
+    tracked += static_cast<std::uint64_t>(c.frames_tracked);
+  }
+  EXPECT_EQ(snap.counter("offload.frames_tracked"), tracked);
 }
 
 }  // namespace
