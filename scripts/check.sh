@@ -7,6 +7,8 @@
 #                                # (includes the seeded fault-replay and
 #                                # engine-equivalence determinism suites)
 #   scripts/check.sh debug
+#   scripts/check.sh asan        # ASan build + the full suite
+#   scripts/check.sh ubsan       # UBSan build + the full suite
 #   scripts/check.sh --soak      # TSan build + the seeded fault soak only
 #   scripts/check.sh --chaos     # TSan build + the fleet chaos soak only
 #

@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <thread>
 
 namespace adavp::obs {
 
@@ -10,10 +11,31 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 void FlightRecorder::record(const SpanEvent& event) {
   const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket % slots_.size()];
-  // Seqlock write: publish "in progress" (odd), store the payload, publish
-  // "stable" (even). Payload stores are relaxed — the release on the final
-  // seq store orders them for any reader that sees the even value.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
+  // Two writers whose tickets differ by a multiple of the capacity share a
+  // slot, and the seqlock below tolerates only one writer at a time. So a
+  // writer first claims the slot by moving its seq from an older even
+  // value to its own odd one. An older ticket gives way: it drops its
+  // event when the slot is held by or already holds a newer one. A newer
+  // ticket waits for an older writer still copying in, so the ring always
+  // ends up holding the latest `capacity` events.
+  const std::uint64_t claimed = 2 * ticket + 1;
+  std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if (seq > claimed) return;
+    if (seq & 1) {
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.seq.compare_exchange_weak(seq, claimed, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Seqlock write: the odd seq is ordered before the payload by the fence,
+  // the payload before the even seq by its release store. Payload stores
+  // are relaxed; readers pair the fence with their own acquire fence.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.name.store(event.name, std::memory_order_relaxed);
   slot.category.store(event.category, std::memory_order_relaxed);
   slot.tid.store(event.tid, std::memory_order_relaxed);
@@ -22,7 +44,7 @@ void FlightRecorder::record(const SpanEvent& event) {
   slot.end_us.store(event.end_us, std::memory_order_relaxed);
   slot.arg.store(event.arg, std::memory_order_relaxed);
   slot.arg_name.store(event.arg_name, std::memory_order_relaxed);
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
+  slot.seq.store(claimed + 1, std::memory_order_release);
 }
 
 void FlightRecorder::instant(std::int64_t t_us, const char* name,
@@ -57,7 +79,9 @@ std::vector<SpanEvent> FlightRecorder::snapshot() const {
     event.end_us = slot.end_us.load(std::memory_order_relaxed);
     event.arg = slot.arg.load(std::memory_order_relaxed);
     event.arg_name = slot.arg_name.load(std::memory_order_relaxed);
-    const std::uint64_t after = slot.seq.load(std::memory_order_acquire);
+    // Keeps the payload loads above from sinking below the second seq load.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const std::uint64_t after = slot.seq.load(std::memory_order_relaxed);
     if (after != before) continue;  // overwritten while copying
     out.push_back(event);
   }

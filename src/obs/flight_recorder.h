@@ -17,20 +17,23 @@ namespace adavp::obs {
 /// non-OK `core::Status` or a watchdog trip (docs/OBSERVABILITY.md,
 /// "Flight-recorder post-mortems").
 ///
-/// Writers never block and never allocate: a ticket from one fetch_add
-/// picks the slot, and a per-slot seqlock (odd sequence = write in
-/// progress) lets the dumper detect and skip entries torn by a concurrent
-/// writer. Payload fields are individual relaxed atomics so concurrent
-/// engines record without data races (the TSan-labeled concurrency test
-/// runs two engines against one recorder). Under wrap contention an entry
-/// may be overwritten mid-read — it is skipped, which is the right
-/// trade for a diagnostic ring.
+/// Writers never allocate: a ticket from one fetch_add picks the slot, and
+/// a per-slot seqlock (odd sequence = write in progress) lets the dumper
+/// detect and skip entries torn by a concurrent writer. A writer claims its
+/// slot before writing, so two writers a whole ring apart never write one
+/// slot at once: the older one drops its event, and the newer one waits
+/// only while an older writer is still copying into that slot. Payload
+/// fields are individual relaxed atomics so concurrent engines record
+/// without data races (the TSan-labeled concurrency test runs two engines
+/// against one recorder). Under wrap contention an entry may be
+/// overwritten mid-read — it is skipped, which is the right trade for a
+/// diagnostic ring.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Appends one event. Wait-free; strings must be literals (kept by
-  /// pointer, exactly as SpanEvent requires).
+  /// Appends one event. Strings must be literals (kept by pointer, exactly
+  /// as SpanEvent requires).
   void record(const SpanEvent& event);
 
   /// Instant-event shorthand stamped with `t_us`.

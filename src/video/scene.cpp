@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
+#include "util/scratch_arena.h"
 #include "util/thread_pool.h"
 
 namespace adavp::video {
@@ -23,29 +26,136 @@ float hash_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
 
 float smoothstep(float t) { return t * t * (3.0f - 2.0f * t); }
 
-/// Smooth value noise in [0,1] over a lattice with the given cell size.
-float value_noise(float x, float y, std::uint64_t seed, float cell) {
-  const float gx = x / cell;
-  const float gy = y / cell;
-  const auto ix = static_cast<std::int64_t>(std::floor(gx));
-  const auto iy = static_cast<std::int64_t>(std::floor(gy));
-  const float fx = smoothstep(gx - static_cast<float>(ix));
-  const float fy = smoothstep(gy - static_cast<float>(iy));
-  const float v00 = hash_unit(seed, ix, iy);
-  const float v10 = hash_unit(seed, ix + 1, iy);
-  const float v01 = hash_unit(seed, ix, iy + 1);
-  const float v11 = hash_unit(seed, ix + 1, iy + 1);
-  const float top = v00 + fx * (v10 - v00);
-  const float bot = v01 + fx * (v11 - v01);
-  return top + fy * (bot - top);
-}
+// The two-octave texture: a coarse and a fine lattice of value noise,
+// combined as (coarse - 0.5) * 0.7 + (fine - 0.5) * 0.5, centred on 0 with
+// unit-ish amplitude.
+constexpr float kCoarseCell = 9.0f;
+constexpr float kFineCell = 3.5f;
+constexpr std::uint64_t kFineSeedMix = 0xABCDEF1234567890ULL;
 
-/// Two-octave texture centred on 0 with unit-ish amplitude.
-float texture(float x, float y, std::uint64_t seed) {
-  const float coarse = value_noise(x, y, seed, 9.0f) - 0.5f;
-  const float fine = value_noise(x, y, seed ^ 0xABCDEF1234567890ULL, 3.5f) - 0.5f;
-  return coarse * 0.7f + fine * 0.5f;
-}
+/// One octave of smooth value noise in [0,1] over a run of `n` columns.
+///
+/// Sampling value noise per pixel hashes the four lattice corners around
+/// every pixel, yet a whole lattice row of pixels shares the same corners.
+/// So the column's lattice index and smoothstep weight are computed once
+/// per column, the two corner rows bracketing lattice row `iy` are hashed
+/// once per lattice row and lerped horizontally into `top_`/`bot_`, and a
+/// pixel only does the vertical lerp. The float operations are the ones of
+/// the per-pixel formulation, in the same order, so the noise is
+/// bit-identical to it. All tables live in `arena` (the caller's Scope).
+class NoiseOctave {
+ public:
+  /// `column(i)` is the lattice-space coordinate (before division by
+  /// `cell`) of column i; it must not decrease with i.
+  template <typename Column>
+  NoiseOctave(util::ScratchArena& arena, int n, std::uint64_t seed, float cell,
+              Column column)
+      : n_(n), seed_(seed), cell_(cell) {
+    const auto count = static_cast<std::size_t>(n);
+    col_ = arena.alloc<std::int32_t>(count);
+    fx_ = arena.alloc<float>(count);
+    top_ = arena.alloc<float>(count);
+    bot_ = arena.alloc<float>(count);
+    // Lattice indices are rebased on the first column in 64 bits before
+    // narrowing, so a large camera pan cannot overflow the table index.
+    std::int64_t last = 0;
+    for (int i = 0; i < n; ++i) {
+      const float gx = column(i) / cell;
+      const auto ix = static_cast<std::int64_t>(std::floor(gx));
+      if (i == 0) ix0_ = ix;
+      last = ix;
+      col_[i] = static_cast<std::int32_t>(ix - ix0_);
+      fx_[i] = smoothstep(gx - static_cast<float>(ix));
+    }
+    span_ = static_cast<std::size_t>(last - ix0_) + 2;  // corners ix0 .. last+1
+    corners_top_ = arena.alloc<float>(span_);
+    corners_bot_ = arena.alloc<float>(span_);
+  }
+
+  /// Moves to the lattice row under `y` (rehashing only when it changed)
+  /// and returns the row's vertical smoothstep weight.
+  float select_row(float y) {
+    const float gy = y / cell_;
+    const auto iy = static_cast<std::int64_t>(std::floor(gy));
+    if (!has_row_ || iy != iy_) load_row(iy);
+    return smoothstep(gy - static_cast<float>(iy));
+  }
+
+  /// Noise at column `i` of the selected row, weight `fy`.
+  float sample(int i, float fy) const {
+    return top_[i] + fy * (bot_[i] - top_[i]);
+  }
+
+ private:
+  void load_row(std::int64_t iy) {
+    if (has_row_ && iy == iy_ + 1) {
+      // Stepping down one lattice row: the old bottom row is the new top.
+      std::swap(corners_top_, corners_bot_);
+      std::swap(top_, bot_);
+    } else {
+      hash_corners(corners_top_, iy);
+      lerp_columns(top_, corners_top_);
+    }
+    hash_corners(corners_bot_, iy + 1);
+    lerp_columns(bot_, corners_bot_);
+    iy_ = iy;
+    has_row_ = true;
+  }
+
+  void hash_corners(float* corners, std::int64_t iy) const {
+    for (std::size_t k = 0; k < span_; ++k) {
+      corners[k] = hash_unit(seed_, ix0_ + static_cast<std::int64_t>(k), iy);
+    }
+  }
+
+  void lerp_columns(float* out, const float* corners) const {
+    for (int i = 0; i < n_; ++i) {
+      const float v0 = corners[col_[i]];
+      const float v1 = corners[col_[i] + 1];
+      out[i] = v0 + fx_[i] * (v1 - v0);
+    }
+  }
+
+  int n_;
+  std::uint64_t seed_;
+  float cell_;
+  std::int64_t ix0_ = 0;
+  std::size_t span_ = 0;
+  std::int32_t* col_ = nullptr;  ///< lattice index of each column, minus ix0_
+  float* fx_ = nullptr;          ///< horizontal smoothstep weight of each column
+  float* top_ = nullptr;         ///< row iy_ lerped across the columns
+  float* bot_ = nullptr;         ///< row iy_ + 1 lerped across the columns
+  float* corners_top_ = nullptr;
+  float* corners_bot_ = nullptr;
+  std::int64_t iy_ = 0;
+  bool has_row_ = false;
+};
+
+/// The two-octave texture over a run of columns; see NoiseOctave.
+class Texture {
+ public:
+  template <typename Column>
+  Texture(util::ScratchArena& arena, int n, std::uint64_t seed, Column column)
+      : coarse_(arena, n, seed, kCoarseCell, column),
+        fine_(arena, n, seed ^ kFineSeedMix, kFineCell, column) {}
+
+  void select_row(float y) {
+    coarse_fy_ = coarse_.select_row(y);
+    fine_fy_ = fine_.select_row(y);
+  }
+
+  float sample(int i) const {
+    const float coarse = coarse_.sample(i, coarse_fy_) - 0.5f;
+    const float fine = fine_.sample(i, fine_fy_) - 0.5f;
+    return coarse * 0.7f + fine * 0.5f;
+  }
+
+ private:
+  NoiseOctave coarse_;
+  NoiseOctave fine_;
+  float coarse_fy_ = 0.0f;
+  float fine_fy_ = 0.0f;
+};
 
 }  // namespace
 
@@ -223,23 +333,39 @@ void SyntheticVideo::rasterize_object_rows(vision::ImageU8& img,
   const int y0 =
       std::max(static_cast<int>(std::floor(visible.top)), row_begin);
   const int x1 = static_cast<int>(std::ceil(visible.right()));
-  const int y1 =
-      std::min(static_cast<int>(std::ceil(visible.bottom())), row_end);
+  const int y1 = std::min(
+      {static_cast<int>(std::ceil(visible.bottom())), row_end, img.height()});
+  if (y0 >= y1) return;
+
+  // Texture is sampled in object-local coordinates so it moves rigidly
+  // (sub-pixel) with the object. Local coordinates grow with x and y, so
+  // the pixels inside the object are one run of columns [xa, xb) and one
+  // run of rows.
+  int xa = std::max(x0, 0);
+  int xb = std::min(x1, img.width());
+  while (xa < xb && static_cast<float>(xa) - obj.left < 0.0f) ++xa;
+  while (xb > xa && static_cast<float>(xb - 1) - obj.left >= obj.width) --xb;
+  if (xa >= xb) return;
+
+  util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
+  util::ScratchArena::Scope scope(arena);
+  Texture texture(arena, xb - xa, obj.texture_seed, [&](int i) {
+    return static_cast<float>(xa + i) - obj.left;
+  });
 
   // Base tone per object so objects stand out from each other and from the
-  // background; texture is sampled in object-local coordinates so it moves
-  // rigidly (sub-pixel) with the object.
+  // background.
   const float base =
       90.0f + 110.0f * hash_unit(obj.texture_seed, 17, 23);
   const auto contrast = static_cast<float>(config_.texture_contrast);
 
-  for (int y = y0; y < y1 && y < img.height(); ++y) {
-    for (int x = x0; x < x1 && x < img.width(); ++x) {
-      if (x < 0 || y < 0) continue;
+  for (int y = std::max(y0, 0); y < y1; ++y) {
+    const float ly = static_cast<float>(y) - obj.top;
+    if (ly < 0.0f || ly >= obj.height) continue;
+    texture.select_row(ly);
+    for (int x = xa; x < xb; ++x) {
       const float lx = static_cast<float>(x) - obj.left;
-      const float ly = static_cast<float>(y) - obj.top;
-      if (lx < 0.0f || ly < 0.0f || lx >= obj.width || ly >= obj.height) continue;
-      float v = base + contrast * texture(lx, ly, obj.texture_seed);
+      float v = base + contrast * texture.sample(x - xa);
       // Darken a thin border so the object silhouette has strong edges.
       const float edge = std::min(std::min(lx, ly),
                                   std::min(obj.width - lx, obj.height - ly));
@@ -304,12 +430,18 @@ void SyntheticVideo::rasterize_rows(int index, vision::ImageU8& img,
   const auto pan = static_cast<float>(pan_offset_.at(static_cast<std::size_t>(index)));
 
   // Background: world-anchored noise that scrolls with the camera pan.
-  for (int y = row_begin; y < row_end; ++y) {
-    for (int x = 0; x < config_.width; ++x) {
-      const float wx = static_cast<float>(x) + pan;
-      const float wy = static_cast<float>(y);
-      const float v = 120.0f + 45.0f * texture(wx, wy, background_seed_);
-      img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+  {
+    util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
+    util::ScratchArena::Scope scope(arena);
+    Texture texture(arena, config_.width, background_seed_, [&](int x) {
+      return static_cast<float>(x) + pan;
+    });
+    for (int y = row_begin; y < row_end; ++y) {
+      texture.select_row(static_cast<float>(y));
+      for (int x = 0; x < config_.width; ++x) {
+        const float v = 120.0f + 45.0f * texture.sample(x);
+        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+      }
     }
   }
   for (const auto& obj : snaps) {

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -223,7 +224,9 @@ TEST(FlightRecorder, DisabledFlightRecordsNothing) {
 }
 
 TEST(FlightRecorder, MaybeFlightDumpWritesOnlyWhenArmedAndNonEmpty) {
-  const std::string path = ::testing::TempDir() + "flight_dump.json";
+  // Per-process name: concurrent copies of this binary share TempDir().
+  const std::string path = ::testing::TempDir() + "flight_dump_" +
+                           std::to_string(::getpid()) + ".json";
   std::remove(path.c_str());
   Telemetry& telemetry = Telemetry::instance();
   Telemetry::set_flight_enabled(true);

@@ -185,6 +185,98 @@ TEST(SyntheticVideoTest, RowParallelRenderBitIdenticalToSerial) {
   }
 }
 
+/// FNV-1a 64 over each frame's size and pixels.
+class PixelDigest {
+ public:
+  void add(const vision::ImageU8& img) {
+    const int dims[2] = {img.width(), img.height()};
+    mix(dims, sizeof(dims));
+    mix(img.pixels().data(), img.pixels().size());
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void mix(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= p[i];
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// A library scenario at 1280x720, scaled as bench_e2e scales it: object
+/// sizes and speeds grow with the frame width.
+SceneConfig scene_720p(SceneConfig cfg) {
+  constexpr double kScale = 1280.0 / 384.0;
+  cfg.width = 1280;
+  cfg.height = 720;
+  cfg.speed_mean *= kScale;
+  cfg.speed_jitter *= kScale;
+  cfg.camera_pan *= kScale;
+  cfg.min_obj_size *= kScale;
+  cfg.max_obj_size *= kScale;
+  return cfg;
+}
+
+// Pins the rendered pixels themselves; the engine goldens see them only
+// through the tracker. The constant was captured from the per-pixel
+// value-noise renderer, so any renderer rewrite must stay bit-identical.
+TEST(SyntheticVideoTest, RenderedPixelsMatchGoldenDigest) {
+  constexpr std::uint64_t kGoldenPixels = 0x5401CD8E93FBCBEAULL;
+  PixelDigest digest;
+  const auto& library = scenario_library();
+  for (std::size_t i = 0; i < library.size(); ++i) {
+    const SceneConfig base = make_scene(library[i], 2020 + i, 30, 1.0);
+    for (const SceneConfig& cfg : {base, scene_720p(base)}) {
+      SyntheticVideo video(cfg);
+      digest.add(video.render(0));
+      digest.add(video.render(29));
+    }
+  }
+
+  // Negative pans with large, fast objects: the background lattice index
+  // goes negative, and objects straddle the left and top edges (object
+  // lattice coordinates start inside the object, not at its box).
+  bool left_edge = false;
+  bool top_edge = false;
+  for (const double pan : {-2.7, -5.4}) {
+    SceneConfig cfg;
+    cfg.width = 320;
+    cfg.height = 180;
+    cfg.frame_count = 60;
+    cfg.seed = 77;
+    cfg.camera_pan = pan;
+    cfg.speed_mean = 4.0;
+    cfg.initial_objects = 8;
+    cfg.max_objects = 12;
+    cfg.spawn_per_second = 6.0;
+    cfg.min_obj_size = 40.0;
+    cfg.max_obj_size = 90.0;
+    cfg.noise_sigma = pan < -3.0 ? 0.0 : 1.5;
+    SyntheticVideo video(cfg);
+    for (int f = 0; f < cfg.frame_count; ++f) {
+      digest.add(video.render(f));
+      for (const auto& gt : video.ground_truth(f)) {
+        left_edge = left_edge || gt.box.left == 0.0f;
+        top_edge = top_edge || gt.box.top == 0.0f;
+      }
+    }
+  }
+  EXPECT_TRUE(left_edge) << "no object straddled the left edge";
+  EXPECT_TRUE(top_edge) << "no object straddled the top edge";
+
+  // A row-sliced render: slices start mid lattice cell.
+  SyntheticVideo video(scene_720p(make_scene(library[13], 99, 10, 1.0)));
+  vision::ImageU8 sliced;
+  video.render_into(9, sliced, /*num_threads=*/4);
+  digest.add(sliced);
+
+  EXPECT_EQ(digest.value(), kGoldenPixels)
+      << "digest 0x" << std::hex << digest.value();
+}
+
 TEST(SyntheticVideoTest, TimestampsFollowFps) {
   SyntheticVideo video(small_config());
   EXPECT_DOUBLE_EQ(video.timestamp_ms(0), 0.0);
