@@ -171,6 +171,27 @@ int main(int argc, char** argv) {
                            vision::good_features_to_track(frame_a, gf).size();
                        (void)sink;
                      }});
+  // The tracker's call: Shi-Tomasi masked to detection boxes (shrunk by the
+  // tracker's 2 px) that cover about 12% of the frame, as on adavp-720p.
+  const auto frac_box = [&](double l, double t, double bw, double bh) {
+    return geometry::BoundingBox{static_cast<float>(l * width),
+                                 static_cast<float>(t * height),
+                                 static_cast<float>(bw * width),
+                                 static_cast<float>(bh * height)};
+  };
+  const vision::ImageU8 box_mask = vision::boxes_mask(
+      frame_a.size(),
+      {frac_box(0.10, 0.15, 0.18, 0.25), frac_box(0.55, 0.40, 0.15, 0.30),
+       frac_box(0.30, 0.60, 0.12, 0.25)},
+      2.0f);
+  kernels.push_back({"good_features_masked", [&](const vision::KernelConfig& cfg) {
+                       vision::GoodFeaturesParams gf;
+                       gf.kernels = cfg;
+                       volatile std::size_t sink =
+                           vision::good_features_to_track(frame_a, gf, &box_mask)
+                               .size();
+                       (void)sink;
+                     }});
   // LK is benchmarked on prebuilt pyramids: the pyramid cost is its own
   // row above, and this isolates the point-parallel flow loop.
   const vision::ImagePyramid pa(frame_a, 3);

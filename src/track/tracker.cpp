@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/telemetry.h"
 
@@ -88,12 +89,14 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
   stats.live_objects = object_count();
   if (prev_pyramid_.empty() || features_.empty()) return stats;
 
-  vision::ImagePyramid next_pyramid(frame, params_.pyramid_levels,
-                                    /*min_dimension=*/16, params_.kernels);
+  next_pyramid_.rebuild(frame, params_.pyramid_levels, /*min_dimension=*/16,
+                        params_.kernels);
 
   // Gather live features for the flow call.
   std::vector<std::size_t> live_idx;
   std::vector<geometry::Point2f> pts;
+  live_idx.reserve(features_.size());
+  pts.reserve(features_.size());
   for (std::size_t i = 0; i < features_.size(); ++i) {
     if (alive_[i]) {
       live_idx.push_back(i);
@@ -104,7 +107,7 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
 
   std::vector<geometry::Point2f> next_pts;
   std::vector<vision::FlowStatus> status;
-  vision::calc_optical_flow_pyr_lk(prev_pyramid_, next_pyramid, pts, next_pts,
+  vision::calc_optical_flow_pyr_lk(prev_pyramid_, next_pyramid_, pts, next_pts,
                                    status, params_.lk, params_.kernels);
 
   // Forward-backward validation (optional): a correctly tracked feature
@@ -112,7 +115,7 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
   if (params_.forward_backward_check) {
     std::vector<geometry::Point2f> back_pts;
     std::vector<vision::FlowStatus> back_status;
-    vision::calc_optical_flow_pyr_lk(next_pyramid, prev_pyramid_, next_pts,
+    vision::calc_optical_flow_pyr_lk(next_pyramid_, prev_pyramid_, next_pts,
                                      back_pts, back_status, params_.lk,
                                      params_.kernels);
     for (std::size_t k = 0; k < pts.size(); ++k) {
@@ -151,6 +154,8 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
   for (auto& obj : objects_) {
     std::vector<float> dxs;
     std::vector<float> dys;
+    dxs.reserve(obj.features.size());
+    dys.reserve(obj.features.size());
     for (std::size_t fi : obj.features) {
       if (!alive_[fi]) continue;
       dxs.push_back(deltas[fi].x);
@@ -160,7 +165,7 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
       obj.lost = true;  // box frozen until the next detection calibrates it
       continue;
     }
-    auto median_of = [](std::vector<float> v) {
+    auto median_of = [](std::vector<float>& v) {
       const std::size_t mid = v.size() / 2;
       std::nth_element(v.begin(), v.begin() + static_cast<long>(mid), v.end());
       return v[mid];
@@ -197,7 +202,7 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
     }
   }
 
-  prev_pyramid_ = std::move(next_pyramid);
+  std::swap(prev_pyramid_, next_pyramid_);
   prev_frame_ = frame;
   frame_size_ = frame_size;
 
@@ -227,8 +232,8 @@ void ObjectTracker::adopt_reference_pyramid(const vision::ImageU8& frame) {
                         prev_frame_.height() == frame.height() &&
                         prev_frame_.pixels() == frame.pixels();
   if (!reusable) {
-    prev_pyramid_ = vision::ImagePyramid(frame, params_.pyramid_levels,
-                                         /*min_dimension=*/16, params_.kernels);
+    prev_pyramid_.rebuild(frame, params_.pyramid_levels, /*min_dimension=*/16,
+                          params_.kernels);
   }
   prev_frame_ = frame;
   if (obs::Telemetry::enabled()) {

@@ -96,6 +96,7 @@ class ObjectTracker : public TrackerInterface {
   std::vector<geometry::Point2f> features_;
   std::vector<bool> alive_;
   vision::ImagePyramid prev_pyramid_;
+  vision::ImagePyramid next_pyramid_;  // track_to's target, swapped into prev_
   vision::ImageU8 prev_frame_;   // frame prev_pyramid_ was built from
   geometry::Size frame_size_{};  // of the last processed frame
 };

@@ -1,6 +1,7 @@
 #include "vision/image_ops.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "util/scratch_arena.h"
@@ -105,10 +106,11 @@ float sample_bilinear(const ImageU8& img, float x, float y) {
   return sample_bilinear_impl(img, x, y);
 }
 
-ImageF32 to_float(const ImageU8& img, const KernelConfig& config) {
+void to_float_into(const ImageU8& img, ImageF32& out,
+                   const KernelConfig& config) {
   const int w = img.width();
   const int h = img.height();
-  ImageF32 out(w, h);
+  out.reset(w, h);
   const std::uint8_t* src = img.pixels().data();
   float* dst = out.pixels().data();
   parallel_rows(h, config, [&](int y0, int y1) {
@@ -118,6 +120,11 @@ ImageF32 to_float(const ImageU8& img, const KernelConfig& config) {
       dst[i] = static_cast<float>(src[i]);
     }
   });
+}
+
+ImageF32 to_float(const ImageU8& img, const KernelConfig& config) {
+  ImageF32 out;
+  to_float_into(img, out, config);
   return out;
 }
 
@@ -144,14 +151,14 @@ ImageF32 smooth5(const ImageF32& img, const KernelConfig& config) {
 
 void sobel(const ImageF32& img, ImageF32& grad_x, ImageF32& grad_y,
            const KernelConfig& config) {
-  const int w = img.width();
-  const int h = img.height();
-  grad_x = ImageF32(w, h);
-  grad_y = ImageF32(w, h);
-  const float* src = img.pixels().data();
-  float* gx = grad_x.pixels().data();
-  float* gy = grad_y.pixels().data();
+  grad_x.reset(img.width(), img.height());
+  grad_y.reset(img.width(), img.height());
+  sobel_plane(img.pixels().data(), img.width(), img.height(),
+              grad_x.pixels().data(), grad_y.pixels().data(), config);
+}
 
+void sobel_plane(const float* src, int w, int h, float* gx, float* gy,
+                 const KernelConfig& config) {
   auto clamped_pixel = [&](int x, int y) {
     return src[static_cast<std::size_t>(std::clamp(y, 0, h - 1)) * w +
                std::clamp(x, 0, w - 1)];
@@ -193,12 +200,23 @@ void sobel(const ImageF32& img, ImageF32& grad_x, ImageF32& grad_y,
 }
 
 ImageF32 downsample2(const ImageF32& img, const KernelConfig& config) {
-  if (img.width() < 2 || img.height() < 2) return img;
+  ImageF32 out;
+  downsample2_into(img, out, config);
+  return out;
+}
+
+void downsample2_into(const ImageF32& img, ImageF32& out,
+                      const KernelConfig& config) {
+  assert(&img != &out);
+  if (img.width() < 2 || img.height() < 2) {
+    out = img;  // copy-assignment keeps out's storage when it suffices
+    return;
+  }
   const int w = img.width();
   const int h = img.height();
   const int w2 = (w + 1) / 2;
   const int h2 = (h + 1) / 2;
-  ImageF32 out(w2, h2);
+  out.reset(w2, h2);
   const float* src = img.pixels().data();
   float* dst = out.pixels().data();
   static const float kKernel[3] = {1.0f, 2.0f, 1.0f};
@@ -253,7 +271,6 @@ ImageF32 downsample2(const ImageF32& img, const KernelConfig& config) {
       }
     }
   });
-  return out;
 }
 
 double mean_abs_diff(const ImageU8& a, const ImageU8& b) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "vision/image.h"
@@ -22,12 +23,23 @@ class ImagePyramid {
   explicit ImagePyramid(const ImageU8& base, int levels, int min_dimension = 16,
                         const KernelConfig& config = {});
 
-  int levels() const { return static_cast<int>(levels_.size()); }
-  const ImageF32& level(int i) const { return levels_.at(static_cast<std::size_t>(i)); }
-  bool empty() const { return levels_.empty(); }
+  /// Rebuilds the pyramid for `base` into the existing level storage: a
+  /// pyramid rebuilt at the same (or a smaller) size allocates nothing.
+  /// Same levels, bit for bit, as a freshly constructed pyramid. Storage
+  /// of levels beyond the new count is kept for the next rebuild.
+  void rebuild(const ImageU8& base, int levels, int min_dimension = 16,
+               const KernelConfig& config = {});
+
+  int levels() const { return built_; }
+  const ImageF32& level(int i) const {
+    assert(i >= 0 && i < built_);
+    return levels_.at(static_cast<std::size_t>(i));
+  }
+  bool empty() const { return built_ == 0; }
 
  private:
-  std::vector<ImageF32> levels_;
+  std::vector<ImageF32> levels_;  ///< storage; only the first built_ are live
+  int built_ = 0;
 };
 
 }  // namespace adavp::vision

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/rng.h"
 #include "vision/good_features.h"
 #include "vision/image_ops.h"
+#include "vision/simd/dispatch.h"
 
 namespace adavp::vision {
 namespace {
@@ -119,6 +123,171 @@ TEST(GoodFeatures, MaskRestrictsDetection) {
     EXPECT_LT(c.x, 30.0f);
     EXPECT_LT(c.y, 30.0f);
   }
+}
+
+/// The whole-frame masked Shi-Tomasi detector, kept verbatim as the oracle
+/// for the tiled one: score every pixel, then scan the frame row-major.
+std::vector<geometry::Point2f> whole_frame_good_features(
+    const ImageU8& img, const GoodFeaturesParams& params, const ImageU8* mask) {
+  std::vector<geometry::Point2f> corners;
+  if (img.empty() || params.max_corners <= 0) return corners;
+  const ImageF32 scores = min_eigenvalue_map(to_float(img, params.kernels),
+                                             params.block_size, params.kernels);
+  float best = 0.0f;
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      if (mask != nullptr && mask->at(x, y) == 0) continue;
+      best = std::max(best, scores.at(x, y));
+    }
+  }
+  if (best <= 0.0f) return corners;
+  const float threshold = static_cast<float>(params.quality_level) * best;
+  struct Candidate {
+    float score;
+    int x;
+    int y;
+  };
+  std::vector<Candidate> candidates;
+  for (int y = 1; y < img.height() - 1; ++y) {
+    for (int x = 1; x < img.width() - 1; ++x) {
+      if (mask != nullptr && mask->at(x, y) == 0) continue;
+      const float s = scores.at(x, y);
+      if (s < threshold) continue;
+      bool is_max = true;
+      for (int dy = -1; dy <= 1 && is_max; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          if (scores.at_clamped(x + dx, y + dy) > s) {
+            is_max = false;
+            break;
+          }
+        }
+      }
+      if (is_max) candidates.push_back({s, x, y});
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) { return a.score > b.score; });
+  const float min_dist2 =
+      static_cast<float>(params.min_distance * params.min_distance);
+  for (const Candidate& c : candidates) {
+    if (static_cast<int>(corners.size()) >= params.max_corners) break;
+    bool ok = true;
+    const geometry::Point2f p(static_cast<float>(c.x), static_cast<float>(c.y));
+    for (const auto& kept : corners) {
+      const geometry::Point2f d = kept - p;
+      if (d.x * d.x + d.y * d.y < min_dist2) {
+        ok = false;
+        break;
+      }
+    }
+    if (ok) corners.push_back(p);
+  }
+  return corners;
+}
+
+/// Noise over a periodic pattern: the pattern repeats scores exactly, so
+/// the score sort sees many ties and the candidate order matters.
+ImageU8 textured_frame(int w, int h, std::uint64_t seed) {
+  util::Rng rng(seed);
+  ImageU8 img(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      const bool patterned = ((x / 16) + (y / 16)) % 2 == 0;
+      const bool bright = ((x % 8) < 4) == ((y % 8) < 4);
+      img.at(x, y) = static_cast<std::uint8_t>(
+          patterned ? (bright ? 200 : 40) : rng.uniform_int(0, 255));
+    }
+  }
+  return img;
+}
+
+/// 0-6 random boxes, some hanging over an edge, some 1 px, some emptied
+/// by the shrink, plus one box flush with a chosen frame edge.
+std::vector<geometry::BoundingBox> random_boxes(util::Rng& rng, int w, int h,
+                                                int edge) {
+  std::vector<geometry::BoundingBox> boxes;
+  const int n = rng.uniform_int(0, 6);
+  for (int i = 0; i < n; ++i) {
+    switch (rng.uniform_int(0, 3)) {
+      case 0:  // 1x1 pixel
+        boxes.push_back({static_cast<float>(rng.uniform_int(0, w - 1)),
+                         static_cast<float>(rng.uniform_int(0, h - 1)), 1.0f,
+                         1.0f});
+        break;
+      case 1:  // thin: empty once shrunk by 2
+        boxes.push_back({static_cast<float>(rng.uniform(0, w)),
+                         static_cast<float>(rng.uniform(0, h)), 3.0f,
+                         static_cast<float>(rng.uniform(1, h / 2))});
+        break;
+      default:  // anywhere, possibly over an edge, possibly overlapping
+        boxes.push_back({static_cast<float>(rng.uniform(-0.3 * w, w)),
+                         static_cast<float>(rng.uniform(-0.3 * h, h)),
+                         static_cast<float>(rng.uniform(1, 0.6 * w)),
+                         static_cast<float>(rng.uniform(1, 0.6 * h))});
+    }
+  }
+  const float bw = static_cast<float>(rng.uniform(2, w / 3));
+  const float bh = static_cast<float>(rng.uniform(2, h / 3));
+  const float x = static_cast<float>(rng.uniform(0, w - bw));
+  const float y = static_cast<float>(rng.uniform(0, h - bh));
+  switch (edge) {
+    case 0: boxes.push_back({0.0f, y, bw, bh}); break;                  // left
+    case 1: boxes.push_back({x, 0.0f, bw, bh}); break;                  // top
+    case 2: boxes.push_back({static_cast<float>(w) - bw, y, bw, bh}); break;
+    case 3: boxes.push_back({x, static_cast<float>(h) - bh, bw, bh}); break;
+    default: boxes.push_back({-4.0f, -4.0f, bw + 8.0f, bh + 8.0f}); break;
+  }
+  return boxes;
+}
+
+TEST(GoodFeatures, TiledMatchesFullFrameReference) {
+  std::vector<KernelConfig> configs;
+  for (const simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    if (simd::ops_for_isa(isa).isa != isa) continue;  // not on this host
+    for (const int threads : {1, 4}) {
+      KernelConfig cfg;
+      cfg.num_threads = threads;
+      cfg.min_rows_per_task = 4;  // split even the small frames' rows
+      cfg.isa = isa;
+      configs.push_back(cfg);
+    }
+  }
+  const std::pair<int, int> sizes[] = {{96, 64}, {131, 77}, {40, 23}};
+  util::Rng rng(22);
+  int compared = 0;
+  int with_corners = 0;
+  for (const auto& [w, h] : sizes) {
+    const ImageU8 img = textured_frame(w, h, static_cast<std::uint64_t>(w * h));
+    const ImageU8 all(w, h, 255);
+    for (int trial = 0; trial < 12; ++trial) {
+      const float shrink = trial % 3 == 0 ? 0.0f : 2.0f;
+      const ImageU8 mask =
+          boxes_mask({w, h}, random_boxes(rng, w, h, trial % 5), shrink);
+      GoodFeaturesParams params;
+      params.max_corners = 1000;
+      params.min_distance = trial % 2 == 0 ? 0.0 : 3.0;
+      params.quality_level = trial % 4 == 0 ? 0.0 : 0.02;
+      params.block_size = 3 + 2 * (trial % 3);
+      for (const ImageU8* m : {&mask, &all, static_cast<const ImageU8*>(nullptr)}) {
+        for (const KernelConfig& cfg : configs) {
+          SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " trial " +
+                       std::to_string(trial) + " " + simd::isa_name(cfg.isa) +
+                       " " + std::to_string(cfg.num_threads) + "t" +
+                       (m == nullptr ? " null mask" : m == &all ? " full mask" : ""));
+          params.kernels = cfg;
+          const auto expected = whole_frame_good_features(img, params, m);
+          const auto actual = good_features_to_track(img, params, m);
+          ASSERT_EQ(actual.size(), expected.size());
+          EXPECT_TRUE(actual == expected);
+          ++compared;
+          if (!expected.empty()) ++with_corners;
+        }
+      }
+    }
+  }
+  EXPECT_GT(with_corners, compared / 2);  // the comparison is not vacuous
 }
 
 TEST(GoodFeatures, EmptyImageOrZeroBudget) {

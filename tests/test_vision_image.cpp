@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "vision/drawing.h"
 #include "vision/image.h"
@@ -186,6 +188,31 @@ TEST(Pyramid, StopsAtMinDimension) {
   ImagePyramid pyr(base, 8, 16);
   // 40 -> 20 (>=16), 20/2=10 < 16 stops.
   EXPECT_EQ(pyr.levels(), 2);
+}
+
+TEST(ImagePyramid, RebuildIntoReusedLevelsMatchesFresh) {
+  // Grows, shrinks, grows to odd sizes, then drops to a single level.
+  const std::pair<int, int> sizes[] = {{1280, 720}, {384, 216}, {1281, 719}, {20, 20}};
+  ImagePyramid reused;
+  for (const auto& [w, h] : sizes) {
+    ImageU8 base(w, h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        base.at(x, y) = static_cast<std::uint8_t>((x * 7 + y * 13 + x * y) % 251);
+      }
+    }
+    reused.rebuild(base, 3, 16);
+    const ImagePyramid fresh(base, 3, 16);
+    SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+    ASSERT_EQ(reused.levels(), fresh.levels());
+    for (int l = 0; l < fresh.levels(); ++l) {
+      EXPECT_EQ(reused.level(l).size(), fresh.level(l).size());
+      EXPECT_TRUE(reused.level(l).pixels() == fresh.level(l).pixels());
+    }
+  }
+  EXPECT_EQ(reused.levels(), 1);  // 20x20: a 10x10 level is below 16
+  reused.rebuild(ImageU8{}, 3, 16);
+  EXPECT_TRUE(reused.empty());
 }
 
 TEST(Pyramid, EmptyInput) {
