@@ -7,6 +7,12 @@
 //    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK).
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
 //    the serial path (the historical sweep).
+//  * The synthetic camera — its hash row (1280 values, every tier) and one
+//    serial render of a 1280x720 scene like bench_e2e's adavp-720p, at the
+//    resolved tier.
+//
+// Every row is timed after one warm-up call and reports the minimum and
+// the median over the reps.
 //
 // Writes BENCH_KERNELS.json so successive PRs have a perf trajectory to
 // compare against.
@@ -31,6 +37,8 @@
 #include "util/args.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
+#include "video/profiles.h"
+#include "video/scene.h"
 #include "vision/good_features.h"
 #include "vision/image_ops.h"
 #include "vision/optical_flow.h"
@@ -54,29 +62,43 @@ vision::ImageU8 make_frame(int w, int h, std::uint32_t seed) {
   return img;
 }
 
-/// Best-of-`reps` wall time of `fn`, in nanoseconds.
-double time_ns(int reps, const std::function<void()>& fn) {
+struct Timing {
+  double min_ns;
+  double median_ns;
+};
+
+/// Wall time of `fn` over `reps` calls after one warm-up call, in
+/// nanoseconds.
+Timing time_ns(int reps, const std::function<void()>& fn) {
   fn();  // warm-up: pool startup, arena growth, page faults
-  double best = 1e30;
+  std::vector<double> samples;
   for (int i = 0; i < reps; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                      .count()));
+    samples.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
   }
-  return best;
+  std::sort(samples.begin(), samples.end());
+  return {samples.front(), samples[samples.size() / 2]};
 }
 
 struct Row {
   std::string kernel;
   std::string isa;  ///< "auto" rows come from the thread sweep
   int threads;
-  double ns;
+  Timing t;
   double speedup;  ///< vs scalar (ISA sweep) or vs serial (thread sweep)
 };
+
+/// A racetrack scene at 1280x720, like bench_e2e's adavp-720p scenes.
+video::SceneConfig racetrack_720p() {
+  const auto& library = video::scenario_library();
+  const auto it = std::find_if(library.begin(), library.end(), [](const auto& s) {
+    return s.name == "mobile_racetrack";
+  });
+  return video::scaled_to_720p(video::make_scene(*it, 2022, 30, 1.6));
+}
 
 }  // namespace
 
@@ -86,7 +108,7 @@ int main(int argc, char** argv) {
   const int width = args.get_int("width", smoke ? 640 : 1280);
   const int height = args.get_int("height", smoke ? 360 : 720);
   const int n_points = args.get_int("points", smoke ? 120 : 240);
-  const int reps = args.get_int("reps", smoke ? 3 : 9);
+  const int reps = std::max(1, args.get_int("reps", smoke ? 3 : 9));
   const std::string out_path =
       args.get("out", smoke ? "BENCH_KERNELS.smoke.json" : "BENCH_KERNELS.json");
 
@@ -109,7 +131,8 @@ int main(int argc, char** argv) {
 
   std::cout << "==== bench_kernels ====\n"
             << "frame " << width << "x" << height << ", " << n_points
-            << " LK points, best of " << reps << " reps, hardware threads: "
+            << " LK points, min and median of " << reps
+            << " reps, hardware threads: "
             << hw << (smoke ? ", smoke" : "") << "\n"
             << "dispatched isa: "
             << vision::simd::isa_name(vision::simd::detected_isa())
@@ -141,6 +164,7 @@ int main(int argc, char** argv) {
   struct Kernel {
     std::string name;
     KernelOp op;
+    bool thread_sweep = true;  ///< false: a serial kernel, ISA sweep only
   };
   std::vector<Kernel> kernels;
   kernels.push_back({"pyramid_build", [&](const vision::KernelConfig& cfg) {
@@ -203,6 +227,15 @@ int main(int argc, char** argv) {
                                                         status, {}, cfg);
                      }});
 
+  // The camera's sensor-noise / lattice-corner hash over one 720p row.
+  std::vector<float> hash_out(1280);
+  kernels.push_back({"hash_unit_row",
+                     [&](const vision::KernelConfig& cfg) {
+                       vision::simd::ops_for_isa(cfg.isa).hash_unit_row(
+                           0x5EEDULL, -640, 357, 1280, hash_out.data());
+                     },
+                     /*thread_sweep=*/false});
+
   // ---- ISA sweep: every tier, one thread, speedup vs scalar -------------
   double scalar_pyramid_ns = 0.0;
   double scalar_lk_ns = 0.0;
@@ -214,9 +247,10 @@ int main(int argc, char** argv) {
       vision::KernelConfig cfg;
       cfg.num_threads = 1;
       cfg.isa = isa;
-      const double ns = time_ns(reps, [&] { k.op(cfg); });
+      const Timing t = time_ns(reps, [&] { k.op(cfg); });
+      const double ns = t.min_ns;
       if (isa == vision::simd::Isa::kScalar) scalar_ns = ns;
-      rows.push_back({k.name, vision::simd::isa_name(isa), 1, ns,
+      rows.push_back({k.name, vision::simd::isa_name(isa), 1, t,
                       scalar_ns > 0.0 ? scalar_ns / ns : 1.0});
       if (k.name == "pyramid_build") {
         if (isa == vision::simd::Isa::kScalar) scalar_pyramid_ns = ns;
@@ -231,21 +265,35 @@ int main(int argc, char** argv) {
 
   // ---- Thread sweep: auto ISA, speedup vs serial ------------------------
   for (const Kernel& k : kernels) {
+    if (!k.thread_sweep) continue;
     double serial_ns = 0.0;
     for (int threads : thread_counts) {
       vision::KernelConfig cfg;
       cfg.num_threads = threads;
-      const double ns = time_ns(reps, [&] { k.op(cfg); });
-      if (threads == 1) serial_ns = ns;
-      rows.push_back({k.name, "auto", threads, ns,
-                      serial_ns > 0.0 ? serial_ns / ns : 1.0});
+      const Timing t = time_ns(reps, [&] { k.op(cfg); });
+      if (threads == 1) serial_ns = t.min_ns;
+      rows.push_back({k.name, "auto", threads, t,
+                      serial_ns > 0.0 ? serial_ns / t.min_ns : 1.0});
     }
   }
 
-  util::Table table({"kernel", "isa", "threads", "ms/op", "speedup"});
+  // ---- The synthetic camera: one serial 720p render, resolved tier ------
+  {
+    const video::SyntheticVideo video(racetrack_720p());
+    vision::ImageU8 out;
+    const Timing t = time_ns(reps, [&] { video.render_into(15, out, 1); });
+    rows.push_back({"render_720p",
+                    vision::simd::isa_name(
+                        vision::simd::resolve_isa(vision::KernelConfig{})),
+                    1, t, 1.0});
+  }
+
+  util::Table table(
+      {"kernel", "isa", "threads", "us/op min", "us/op median", "speedup"});
   for (const Row& r : rows) {
     table.add_row({r.kernel, r.isa, std::to_string(r.threads),
-                   util::fmt(r.ns / 1e6, 3), util::fmt(r.speedup, 2)});
+                   util::fmt(r.t.min_ns / 1e3, 1),
+                   util::fmt(r.t.median_ns / 1e3, 1), util::fmt(r.speedup, 2)});
   }
   table.print();
 
@@ -259,7 +307,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (i > 0) json << ",";
     json << "{\"kernel\":\"" << rows[i].kernel << "\",\"isa\":\"" << rows[i].isa
-         << "\",\"threads\":" << rows[i].threads << ",\"ns_per_op\":" << rows[i].ns
+         << "\",\"threads\":" << rows[i].threads
+         << ",\"ns_per_op\":" << rows[i].t.min_ns
+         << ",\"median_ns_per_op\":" << rows[i].t.median_ns
          << ",\"speedup\":" << rows[i].speedup << "}";
   }
   json << "]";

@@ -8,6 +8,28 @@
 
 namespace adavp::track {
 
+namespace {
+
+/// True when `pyramid` was built from `frame`. Level 0 is `float(pixel)`
+/// of its frame, exactly, so the comparison needs no copy of the frame.
+/// Each row is compared as a whole, a loop the compiler vectorizes.
+bool built_from(const vision::ImagePyramid& pyramid, const vision::ImageU8& frame) {
+  if (pyramid.empty()) return false;
+  const vision::ImageF32& base = pyramid.level(0);
+  const int w = frame.width();
+  if (base.width() != w || base.height() != frame.height()) return false;
+  for (int y = 0; y < frame.height(); ++y) {
+    const std::uint8_t* pixels = &frame.at(0, y);
+    const float* floats = &base.at(0, y);
+    int differ = 0;
+    for (int x = 0; x < w; ++x) differ |= static_cast<float>(pixels[x]) != floats[x];
+    if (differ != 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 ObjectTracker::ObjectTracker(TrackerParams params) : params_(std::move(params)) {}
 
 void ObjectTracker::set_reference(const vision::ImageU8& frame,
@@ -18,11 +40,9 @@ void ObjectTracker::set_reference(const vision::ImageU8& frame,
   features_.clear();
   alive_.clear();
 
-  std::vector<geometry::BoundingBox> boxes;
-  boxes.reserve(detections.size());
-  for (const auto& det : detections) boxes.push_back(det.box);
-  const vision::ImageU8 mask =
-      vision::boxes_mask(frame.size(), boxes, params_.mask_shrink);
+  mask_boxes_.clear();
+  for (const auto& det : detections) mask_boxes_.push_back(det.box);
+  vision::boxes_mask_into(frame.size(), mask_boxes_, params_.mask_shrink, mask_);
 
   vision::GoodFeaturesParams gf;
   gf.max_corners = params_.max_features;
@@ -30,7 +50,7 @@ void ObjectTracker::set_reference(const vision::ImageU8& frame,
   gf.min_distance = params_.min_feature_distance;
   gf.kernels = params_.kernels;
   const std::vector<geometry::Point2f> corners =
-      vision::good_features_to_track(frame, gf, &mask);
+      vision::good_features_to_track(frame, gf, &mask_);
 
   objects_.reserve(detections.size());
   for (const auto& det : detections) {
@@ -203,7 +223,6 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
   }
 
   std::swap(prev_pyramid_, next_pyramid_);
-  prev_frame_ = frame;
   frame_size_ = frame_size;
 
   if (obs::Telemetry::enabled()) {
@@ -224,18 +243,13 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
 
 void ObjectTracker::adopt_reference_pyramid(const vision::ImageU8& frame) {
   // The frame a reference detection ran on has usually just been tracked
-  // (track_to moved its pyramid into prev_pyramid_); a byte-compare is two
-  // orders of magnitude cheaper than rebuilding the pyramid, so probe
-  // before recomputing.
-  const bool reusable = !prev_pyramid_.empty() &&
-                        prev_frame_.width() == frame.width() &&
-                        prev_frame_.height() == frame.height() &&
-                        prev_frame_.pixels() == frame.pixels();
+  // (track_to moved its pyramid into prev_pyramid_); a compare is much
+  // cheaper than rebuilding the pyramid, so probe before recomputing.
+  const bool reusable = built_from(prev_pyramid_, frame);
   if (!reusable) {
     prev_pyramid_.rebuild(frame, params_.pyramid_levels, /*min_dimension=*/16,
                           params_.kernels);
   }
-  prev_frame_ = frame;
   if (obs::Telemetry::enabled()) {
     obs::metrics()
         .counter("tracker", reusable ? "pyramid_reused" : "pyramid_rebuilt")

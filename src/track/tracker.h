@@ -88,7 +88,7 @@ class ObjectTracker : public TrackerInterface {
 
   /// Pyramid for `frame`, reusing `prev_pyramid_` when `frame` is
   /// byte-identical to the frame it was built from (the common
-  /// set_reference-after-track_to case). Updates `prev_frame_`.
+  /// set_reference-after-track_to case).
   void adopt_reference_pyramid(const vision::ImageU8& frame);
 
   TrackerParams params_;
@@ -97,7 +97,9 @@ class ObjectTracker : public TrackerInterface {
   std::vector<bool> alive_;
   vision::ImagePyramid prev_pyramid_;
   vision::ImagePyramid next_pyramid_;  // track_to's target, swapped into prev_
-  vision::ImageU8 prev_frame_;   // frame prev_pyramid_ was built from
+  // set_reference's scratch: the detection boxes and their feature mask.
+  std::vector<geometry::BoundingBox> mask_boxes_;
+  vision::ImageU8 mask_;
   geometry::Size frame_size_{};  // of the last processed frame
 };
 

@@ -100,7 +100,10 @@ void ThreadPool::parallel_for(
       (n + grain - 1) / grain, static_cast<std::int64_t>(threads) * 4);
   const std::int64_t chunk = (n + chunks - 1) / chunks;
 
+  // Helper tasks capture only `&region`, which fits std::function's small
+  // buffer, so enqueueing a helper does not allocate.
   struct Region {
+    ThreadPool* pool;
     std::atomic<std::int64_t> cursor;
     std::int64_t end;
     std::int64_t chunk;
@@ -111,31 +114,31 @@ void ThreadPool::parallel_for(
     std::mutex done_mutex;
     std::condition_variable done_cv;
     int helpers_active = 0;  // guarded by done_mutex
+
+    void drain() {
+      for (;;) {
+        if (failed.load(std::memory_order_relaxed)) return;
+        const std::int64_t lo = cursor.fetch_add(chunk, std::memory_order_relaxed);
+        if (lo >= end) return;
+        const std::int64_t hi = std::min(lo + chunk, end);
+        try {
+          (*body)(lo, hi);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+          failed.store(true, std::memory_order_relaxed);
+          return;
+        }
+        pool->chunks_executed_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   };
   Region region;
+  region.pool = this;
   region.cursor.store(begin, std::memory_order_relaxed);
   region.end = end;
   region.chunk = chunk;
   region.body = &body;
-
-  auto drain = [this, &region] {
-    for (;;) {
-      if (region.failed.load(std::memory_order_relaxed)) return;
-      const std::int64_t lo =
-          region.cursor.fetch_add(region.chunk, std::memory_order_relaxed);
-      if (lo >= region.end) return;
-      const std::int64_t hi = std::min(lo + region.chunk, region.end);
-      try {
-        (*region.body)(lo, hi);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(region.error_mutex);
-        if (!region.error) region.error = std::current_exception();
-        region.failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-      chunks_executed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
 
   const int helpers =
       static_cast<int>(std::min<std::int64_t>(threads - 1, chunks - 1));
@@ -145,8 +148,8 @@ void ThreadPool::parallel_for(
   }
   parallel_regions_.fetch_add(1, std::memory_order_relaxed);
   for (int i = 0; i < helpers; ++i) {
-    enqueue([&region, drain] {
-      drain();
+    enqueue([&region] {
+      region.drain();
       // Notify while holding the lock: `region` is destroyed as soon as
       // the caller observes helpers_active == 0, and the caller cannot
       // re-acquire done_mutex (and thus return) until this unlock — so
@@ -157,7 +160,7 @@ void ThreadPool::parallel_for(
     });
   }
 
-  drain();  // the caller works too
+  region.drain();  // the caller works too
 
   // `region` lives on this stack frame: wait for every helper task to
   // retire before returning (they hold references into it).

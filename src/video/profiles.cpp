@@ -72,6 +72,18 @@ SceneConfig make_scene(const ScenarioTemplate& scenario, std::uint64_t seed,
   return cfg;
 }
 
+SceneConfig scaled_to_720p(SceneConfig cfg) {
+  constexpr double kScale = 1280.0 / 384.0;
+  cfg.width = 1280;
+  cfg.height = 720;
+  cfg.speed_mean *= kScale;
+  cfg.speed_jitter *= kScale;
+  cfg.camera_pan *= kScale;
+  cfg.min_obj_size *= kScale;
+  cfg.max_obj_size *= kScale;
+  return cfg;
+}
+
 std::vector<SceneConfig> make_training_set(std::uint64_t seed,
                                            int frames_per_video) {
   std::vector<SceneConfig> out;

@@ -31,6 +31,11 @@ const std::vector<ScenarioTemplate>& scenario_library();
 SceneConfig make_scene(const ScenarioTemplate& scenario, std::uint64_t seed,
                        int frame_count, double speed_scale = 1.0);
 
+/// `cfg` at the paper's 1280x720: object sizes, speeds and the camera pan
+/// scale with the frame width, so the content moves like the 384-wide
+/// original.
+SceneConfig scaled_to_720p(SceneConfig cfg);
+
 /// Builds the training video set (distinct seeds per scenario, motion
 /// scales swept so every change-rate regime is represented).
 /// `frames_per_video` controls cost; the paper uses 105205 frames total.

@@ -7,22 +7,16 @@
 
 #include "util/scratch_arena.h"
 #include "util/thread_pool.h"
+#include "vision/kernel_config.h"
+#include "vision/simd/dispatch.h"
+#include "vision/simd/kernels_ref.h"
 
 namespace adavp::video {
 
 namespace {
 
-std::uint64_t hash3(std::uint64_t seed, std::int64_t a, std::int64_t b) {
-  std::uint64_t x = seed ^ (static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ULL) ^
-                    (static_cast<std::uint64_t>(b) * 0xC2B2AE3D27D4EB4FULL);
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-float hash_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
-  return static_cast<float>((hash3(seed, a, b) >> 11) * 0x1.0p-53);
-}
+using vision::simd::ref::hash3;
+using vision::simd::ref::hash_unit;
 
 float smoothstep(float t) { return t * t * (3.0f - 2.0f * t); }
 
@@ -39,18 +33,19 @@ constexpr std::uint64_t kFineSeedMix = 0xABCDEF1234567890ULL;
 /// every pixel, yet a whole lattice row of pixels shares the same corners.
 /// So the column's lattice index and smoothstep weight are computed once
 /// per column, the two corner rows bracketing lattice row `iy` are hashed
-/// once per lattice row and lerped horizontally into `top_`/`bot_`, and a
-/// pixel only does the vertical lerp. The float operations are the ones of
-/// the per-pixel formulation, in the same order, so the noise is
-/// bit-identical to it. All tables live in `arena` (the caller's Scope).
+/// once per lattice row (one `hash_unit_row` kernel call each) and lerped
+/// horizontally into `top_`/`bot_`, and a pixel only does the vertical
+/// lerp. The float operations are the ones of the per-pixel formulation,
+/// in the same order, so the noise is bit-identical to it. All tables live
+/// in `arena` (the caller's Scope).
 class NoiseOctave {
  public:
   /// `column(i)` is the lattice-space coordinate (before division by
   /// `cell`) of column i; it must not decrease with i.
   template <typename Column>
-  NoiseOctave(util::ScratchArena& arena, int n, std::uint64_t seed, float cell,
-              Column column)
-      : n_(n), seed_(seed), cell_(cell) {
+  NoiseOctave(const vision::simd::SimdOps& ops, util::ScratchArena& arena,
+              int n, std::uint64_t seed, float cell, Column column)
+      : ops_(ops), n_(n), seed_(seed), cell_(cell) {
     const auto count = static_cast<std::size_t>(n);
     col_ = arena.alloc<std::int32_t>(count);
     fx_ = arena.alloc<float>(count);
@@ -67,9 +62,9 @@ class NoiseOctave {
       col_[i] = static_cast<std::int32_t>(ix - ix0_);
       fx_[i] = smoothstep(gx - static_cast<float>(ix));
     }
-    span_ = static_cast<std::size_t>(last - ix0_) + 2;  // corners ix0 .. last+1
-    corners_top_ = arena.alloc<float>(span_);
-    corners_bot_ = arena.alloc<float>(span_);
+    span_ = static_cast<int>(last - ix0_) + 2;  // corners ix0 .. last+1
+    corners_top_ = arena.alloc<float>(static_cast<std::size_t>(span_));
+    corners_bot_ = arena.alloc<float>(static_cast<std::size_t>(span_));
   }
 
   /// Moves to the lattice row under `y` (rehashing only when it changed)
@@ -81,10 +76,9 @@ class NoiseOctave {
     return smoothstep(gy - static_cast<float>(iy));
   }
 
-  /// Noise at column `i` of the selected row, weight `fy`.
-  float sample(int i, float fy) const {
-    return top_[i] + fy * (bot_[i] - top_[i]);
-  }
+  /// The selected row lerped across the columns: row iy and row iy + 1.
+  const float* top() const { return top_; }
+  const float* bot() const { return bot_; }
 
  private:
   void load_row(std::int64_t iy) {
@@ -93,34 +87,32 @@ class NoiseOctave {
       std::swap(corners_top_, corners_bot_);
       std::swap(top_, bot_);
     } else {
-      hash_corners(corners_top_, iy);
+      ops_.hash_unit_row(seed_, ix0_, iy, span_, corners_top_);
       lerp_columns(top_, corners_top_);
     }
-    hash_corners(corners_bot_, iy + 1);
+    ops_.hash_unit_row(seed_, ix0_, iy + 1, span_, corners_bot_);
     lerp_columns(bot_, corners_bot_);
     iy_ = iy;
     has_row_ = true;
   }
 
-  void hash_corners(float* corners, std::int64_t iy) const {
-    for (std::size_t k = 0; k < span_; ++k) {
-      corners[k] = hash_unit(seed_, ix0_ + static_cast<std::int64_t>(k), iy);
-    }
-  }
-
-  void lerp_columns(float* out, const float* corners) const {
+  void lerp_columns(float* __restrict out,
+                    const float* __restrict corners) const {
+    const std::int32_t* __restrict col = col_;
+    const float* __restrict fx = fx_;
     for (int i = 0; i < n_; ++i) {
-      const float v0 = corners[col_[i]];
-      const float v1 = corners[col_[i] + 1];
-      out[i] = v0 + fx_[i] * (v1 - v0);
+      const float v0 = corners[col[i]];
+      const float v1 = corners[col[i] + 1];
+      out[i] = v0 + fx[i] * (v1 - v0);
     }
   }
 
+  const vision::simd::SimdOps& ops_;
   int n_;
   std::uint64_t seed_;
   float cell_;
   std::int64_t ix0_ = 0;
-  std::size_t span_ = 0;
+  int span_ = 0;
   std::int32_t* col_ = nullptr;  ///< lattice index of each column, minus ix0_
   float* fx_ = nullptr;          ///< horizontal smoothstep weight of each column
   float* top_ = nullptr;         ///< row iy_ lerped across the columns
@@ -131,31 +123,80 @@ class NoiseOctave {
   bool has_row_ = false;
 };
 
+/// The vertical lerps of both octaves and their combination, one row.
+/// `__restrict` parameters let the compiler vectorize the column loop.
+void texture_row(const float* __restrict ct, const float* __restrict cb,
+                 float cfy, const float* __restrict ft,
+                 const float* __restrict fb, float ffy, int n,
+                 float* __restrict out) {
+  for (int i = 0; i < n; ++i) {
+    const float coarse = (ct[i] + cfy * (cb[i] - ct[i])) - 0.5f;
+    const float fine = (ft[i] + ffy * (fb[i] - ft[i])) - 0.5f;
+    out[i] = coarse * 0.7f + fine * 0.5f;
+  }
+}
+
 /// The two-octave texture over a run of columns; see NoiseOctave.
 class Texture {
  public:
   template <typename Column>
-  Texture(util::ScratchArena& arena, int n, std::uint64_t seed, Column column)
-      : coarse_(arena, n, seed, kCoarseCell, column),
-        fine_(arena, n, seed ^ kFineSeedMix, kFineCell, column) {}
+  Texture(const vision::simd::SimdOps& ops, util::ScratchArena& arena, int n,
+          std::uint64_t seed, Column column)
+      : n_(n),
+        coarse_(ops, arena, n, seed, kCoarseCell, column),
+        fine_(ops, arena, n, seed ^ kFineSeedMix, kFineCell, column) {}
 
   void select_row(float y) {
     coarse_fy_ = coarse_.select_row(y);
     fine_fy_ = fine_.select_row(y);
   }
 
-  float sample(int i) const {
-    const float coarse = coarse_.sample(i, coarse_fy_) - 0.5f;
-    const float fine = fine_.sample(i, fine_fy_) - 0.5f;
-    return coarse * 0.7f + fine * 0.5f;
+  /// The selected row's texture, one value per column, into `out[0, n)`.
+  void row(float* out) const {
+    texture_row(coarse_.top(), coarse_.bot(), coarse_fy_, fine_.top(),
+                fine_.bot(), fine_fy_, n_, out);
   }
 
  private:
+  int n_;
   NoiseOctave coarse_;
   NoiseOctave fine_;
   float coarse_fy_ = 0.0f;
   float fine_fy_ = 0.0f;
 };
+
+std::uint8_t to_pixel(float v) {
+  return static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
+}
+
+void shade_background_row(const float* __restrict tex, int n,
+                          std::uint8_t* __restrict dst) {
+  for (int x = 0; x < n; ++x) dst[x] = to_pixel(120.0f + 45.0f * tex[x]);
+}
+
+/// Object pixels x0 .. x0 + n - 1 of a row at object-local `ly`.
+void shade_object_row(const float* __restrict tex, int x0, int n, float left,
+                      float width, float height, float ly, float base,
+                      float contrast, std::uint8_t* __restrict dst) {
+  for (int i = 0; i < n; ++i) {
+    const float lx = static_cast<float>(x0 + i) - left;
+    const float v = base + contrast * tex[i];
+    // Darken a thin border so the object silhouette has strong edges. The
+    // darkening 45 * (2 - edge) / 2 is positive exactly when edge < 2
+    // (edge >= 0 here), so the min is the darkened value inside the border
+    // and v elsewhere: the branch without a branch, which vectorizes.
+    const float edge =
+        std::min(std::min(lx, ly), std::min(width - lx, height - ly));
+    dst[i] = to_pixel(std::min(v, v - 45.0f * (2.0f - edge) / 2.0f));
+  }
+}
+
+void add_sensor_noise_row(const float* __restrict u, int n, float amp,
+                          std::uint8_t* __restrict dst) {
+  for (int x = 0; x < n; ++x) {
+    dst[x] = to_pixel(static_cast<float>(dst[x]) + amp * (u[x] - 0.5f));
+  }
+}
 
 }  // namespace
 
@@ -325,7 +366,8 @@ void SyntheticVideo::precompute_trajectories() {
 
 void SyntheticVideo::rasterize_object_rows(vision::ImageU8& img,
                                            const ObjectSnapshot& obj,
-                                           int row_begin, int row_end) const {
+                                           int row_begin, int row_end,
+                                           const vision::simd::SimdOps& ops) const {
   const geometry::BoundingBox box{obj.left, obj.top, obj.width, obj.height};
   const geometry::BoundingBox visible = geometry::clamp_to(box, img.size());
   if (visible.empty()) return;
@@ -349,9 +391,10 @@ void SyntheticVideo::rasterize_object_rows(vision::ImageU8& img,
 
   util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
   util::ScratchArena::Scope scope(arena);
-  Texture texture(arena, xb - xa, obj.texture_seed, [&](int i) {
+  Texture texture(ops, arena, xb - xa, obj.texture_seed, [&](int i) {
     return static_cast<float>(xa + i) - obj.left;
   });
+  float* tex = arena.alloc<float>(static_cast<std::size_t>(xb - xa));
 
   // Base tone per object so objects stand out from each other and from the
   // background.
@@ -359,19 +402,15 @@ void SyntheticVideo::rasterize_object_rows(vision::ImageU8& img,
       90.0f + 110.0f * hash_unit(obj.texture_seed, 17, 23);
   const auto contrast = static_cast<float>(config_.texture_contrast);
 
+  std::uint8_t* pixels = img.pixels().data();
   for (int y = std::max(y0, 0); y < y1; ++y) {
     const float ly = static_cast<float>(y) - obj.top;
     if (ly < 0.0f || ly >= obj.height) continue;
     texture.select_row(ly);
-    for (int x = xa; x < xb; ++x) {
-      const float lx = static_cast<float>(x) - obj.left;
-      float v = base + contrast * texture.sample(x - xa);
-      // Darken a thin border so the object silhouette has strong edges.
-      const float edge = std::min(std::min(lx, ly),
-                                  std::min(obj.width - lx, obj.height - ly));
-      if (edge < 2.0f) v -= 45.0f * (2.0f - edge) / 2.0f;
-      img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
-    }
+    texture.row(tex);
+    shade_object_row(tex, xa, xb - xa, obj.left, obj.width, obj.height, ly,
+                     base, contrast,
+                     pixels + static_cast<std::size_t>(y) * img.width() + xa);
   }
 }
 
@@ -428,36 +467,40 @@ void SyntheticVideo::rasterize_rows(int index, vision::ImageU8& img,
                                     int row_begin, int row_end) const {
   const auto& snaps = frames_.at(static_cast<std::size_t>(index));
   const auto pan = static_cast<float>(pan_offset_.at(static_cast<std::size_t>(index)));
+  // Resolved per call, so ADAVP_FORCE_ISA reaches the camera too.
+  const vision::simd::SimdOps& ops = vision::simd::ops_for(vision::KernelConfig{});
+  const int width = config_.width;
+  const auto row_at = [&](int y) {
+    return img.pixels().data() + static_cast<std::size_t>(y) * width;
+  };
+  util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
 
   // Background: world-anchored noise that scrolls with the camera pan.
   {
-    util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
     util::ScratchArena::Scope scope(arena);
-    Texture texture(arena, config_.width, background_seed_, [&](int x) {
+    Texture texture(ops, arena, width, background_seed_, [&](int x) {
       return static_cast<float>(x) + pan;
     });
+    float* tex = arena.alloc<float>(static_cast<std::size_t>(width));
     for (int y = row_begin; y < row_end; ++y) {
       texture.select_row(static_cast<float>(y));
-      for (int x = 0; x < config_.width; ++x) {
-        const float v = 120.0f + 45.0f * texture.sample(x);
-        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
-      }
+      texture.row(tex);
+      shade_background_row(tex, width, row_at(y));
     }
   }
   for (const auto& obj : snaps) {
-    rasterize_object_rows(img, obj, row_begin, row_end);
+    rasterize_object_rows(img, obj, row_begin, row_end, ops);
   }
 
   // Deterministic per-frame sensor noise.
   if (config_.noise_sigma > 0.0) {
     const std::uint64_t noise_seed = hash3(config_.seed, 0x6E6F6973, index);
-    const auto sigma = static_cast<float>(config_.noise_sigma);
+    const float amp = 3.4f * static_cast<float>(config_.noise_sigma);
+    util::ScratchArena::Scope scope(arena);
+    float* u = arena.alloc<float>(static_cast<std::size_t>(width));
     for (int y = row_begin; y < row_end; ++y) {
-      for (int x = 0; x < config_.width; ++x) {
-        const float u = hash_unit(noise_seed, x, y) - 0.5f;
-        const float v = static_cast<float>(img.at(x, y)) + 3.4f * sigma * u;
-        img.at(x, y) = static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
-      }
+      ops.hash_unit_row(noise_seed, 0, y, width, u);
+      add_sensor_noise_row(u, width, amp, row_at(y));
     }
   }
 }

@@ -9,6 +9,10 @@
 #include "video/object_class.h"
 #include "vision/image.h"
 
+namespace adavp::vision::simd {
+struct SimdOps;
+}  // namespace adavp::vision::simd
+
 namespace adavp::video {
 
 /// One labelled object in one frame — the ground truth the detector
@@ -135,7 +139,8 @@ class SyntheticVideo {
   void precompute_trajectories();
   /// Rasterizes the rows [row_begin, row_end) of `obj` into `img`.
   void rasterize_object_rows(vision::ImageU8& img, const ObjectSnapshot& obj,
-                             int row_begin, int row_end) const;
+                             int row_begin, int row_end,
+                             const vision::simd::SimdOps& ops) const;
   /// Full per-pixel pipeline (background, objects, noise) for the rows
   /// [row_begin, row_end) of frame `index` — the unit of row-parallelism.
   void rasterize_rows(int index, vision::ImageU8& img, int row_begin,

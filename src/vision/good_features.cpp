@@ -268,7 +268,16 @@ std::vector<geometry::Point2f> good_features_to_track(
 ImageU8 boxes_mask(const geometry::Size& size,
                    const std::vector<geometry::BoundingBox>& boxes,
                    float shrink) {
-  ImageU8 mask(size.width, size.height, 0);
+  ImageU8 mask;
+  boxes_mask_into(size, boxes, shrink, mask);
+  return mask;
+}
+
+void boxes_mask_into(const geometry::Size& size,
+                     const std::vector<geometry::BoundingBox>& boxes,
+                     float shrink, ImageU8& out) {
+  out.reset(size.width, size.height);
+  out.fill(0);
   for (const auto& raw : boxes) {
     geometry::BoundingBox box = raw;
     if (shrink > 0.0f) {
@@ -277,17 +286,15 @@ ImageU8 boxes_mask(const geometry::Size& size,
     }
     box = geometry::clamp_to(box, size);
     if (box.empty()) continue;
-    const int x0 = static_cast<int>(std::ceil(box.left));
-    const int y0 = static_cast<int>(std::ceil(box.top));
-    const int x1 = static_cast<int>(std::floor(box.right()));
-    const int y1 = static_cast<int>(std::floor(box.bottom()));
+    const int x0 = std::max(static_cast<int>(std::ceil(box.left)), 0);
+    const int y0 = std::max(static_cast<int>(std::ceil(box.top)), 0);
+    const int x1 = std::min(static_cast<int>(std::floor(box.right())), size.width);
+    const int y1 = std::min(static_cast<int>(std::floor(box.bottom())), size.height);
+    if (x0 >= x1) continue;
     for (int y = y0; y < y1; ++y) {
-      for (int x = x0; x < x1; ++x) {
-        if (mask.in_bounds(x, y)) mask.at(x, y) = 255;
-      }
+      std::fill_n(&out.at(x0, y), x1 - x0, std::uint8_t{255});
     }
   }
-  return mask;
 }
 
 }  // namespace adavp::vision

@@ -50,4 +50,11 @@ ImageU8 boxes_mask(const geometry::Size& size,
                    const std::vector<geometry::BoundingBox>& boxes,
                    float shrink = 0.0f);
 
+/// `boxes_mask` into `out`, reusing its pixel storage: a caller that keeps
+/// `out` across frames builds every mask after the first without touching
+/// the heap.
+void boxes_mask_into(const geometry::Size& size,
+                     const std::vector<geometry::BoundingBox>& boxes,
+                     float shrink, ImageU8& out);
+
 }  // namespace adavp::vision

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "vision/simd/isa.h"
 
@@ -61,6 +62,14 @@ struct SimdOps {
   /// bilinear value of `pix` at (base_x + wx, base_y + wy), raster order.
   void (*lk_sample_patch)(const float* pix, int w, float base_x, float base_y,
                           int r, float* jvals);
+
+  /// A row of the synthetic camera's hash noise: for k in [0, n)
+  ///   out[k] = ref::hash_unit(seed, a0 + k, b),
+  /// a uniform float in [0, 1). Integer lanes are exact on every tier and
+  /// the final u64 -> double -> float conversion is exact up to the one
+  /// rounding the reference does, so every tier is bit-identical.
+  void (*hash_unit_row)(std::uint64_t seed, std::int64_t a0, std::int64_t b,
+                        int n, float* out);
 };
 
 /// Tables provided by the per-ISA translation units. `sse2_ops` /

@@ -1,6 +1,6 @@
 // AVX2 tier: 8-wide vectorization of the interior kernels, one lane per
 // output element, plus gathered bilinear sampling for the two LK hot
-// loops. Per-lane operation order mirrors the scalar reference exactly
+// loops and a 4 x u64 hash row for the synthetic camera. Per-lane operation order mirrors the scalar reference exactly
 // (kernels_ref.h), and all loop-carried reductions (LK's gxx/bx/residual
 // accumulations) stay with the scalar caller, so every result is
 // bit-identical to the reference — see DESIGN.md §14 for the
@@ -302,13 +302,78 @@ void lk_sample_patch_avx2(const float* pix, int w, float base_x, float base_y,
   }
 }
 
+/// Low 64 bits of the lane-wise product x * c, with c split into its
+/// 32-bit halves: lo(x)lo(c) + (hi(x)lo(c) + lo(x)hi(c)) << 32. AVX2 has
+/// no 64-bit multiply, and the hi(x)hi(c) term only reaches bits >= 64.
+inline __m256i mul_lo64(__m256i x, __m256i c_lo, __m256i c_hi) {
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(x, 32), c_lo),
+                       _mm256_mul_epu32(x, c_hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(x, c_lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+/// One SplitMix64 finalizer step: (x ^ (x >> shift)) * c.
+template <int kShift>
+inline __m256i mix_step(__m256i x, __m256i c_lo, __m256i c_hi) {
+  return mul_lo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, kShift)), c_lo,
+                  c_hi);
+}
+
+inline __m256i split_const(std::uint64_t c, bool high) {
+  return _mm256_set1_epi64x(static_cast<long long>(high ? c >> 32 : c));
+}
+
+void hash_unit_row_avx2(std::uint64_t seed, std::int64_t a0, std::int64_t b,
+                        int n, float* out) {
+  const __m256i mix1_lo = split_const(ref::kMix1, false);
+  const __m256i mix1_hi = split_const(ref::kMix1, true);
+  const __m256i mix2_lo = split_const(ref::kMix2, false);
+  const __m256i mix2_hi = split_const(ref::kMix2, true);
+  // seed ^ a*kHashA ^ b*kHashB: the b term is fixed for the row, and
+  // a*kHashA steps by 4*kHashA per vector (all mod 2^64, as in the scalar).
+  const __m256i base = _mm256_set1_epi64x(static_cast<long long>(
+      seed ^ (static_cast<std::uint64_t>(b) * ref::kHashB)));
+  const std::uint64_t a_hash = static_cast<std::uint64_t>(a0) * ref::kHashA;
+  __m256i a_lanes = _mm256_set_epi64x(
+      static_cast<long long>(a_hash + 3 * ref::kHashA),
+      static_cast<long long>(a_hash + 2 * ref::kHashA),
+      static_cast<long long>(a_hash + ref::kHashA),
+      static_cast<long long>(a_hash));
+  const __m256i a_step = _mm256_set1_epi64x(
+      static_cast<long long>(4 * ref::kHashA));
+  // h >> 11 < 2^53 converts exactly: its low 32 bits under the exponent of
+  // 2^52 and its high bits under the exponent of 2^84 are two exact
+  // doubles, and (hi - 2^84 - 2^52) + lo is their exact sum.
+  const __m256i exp52 = _mm256_set1_epi64x(0x4330000000000000LL);
+  const __m256i exp84 = _mm256_set1_epi64x(0x4530000000000000LL);
+  const __m256d bias = _mm256_set1_pd(0x1.0p84 + 0x1.0p52);
+  const __m256d scale = _mm256_set1_pd(0x1.0p-53);
+  int k = 0;
+  for (; k + 4 <= n; k += 4) {
+    __m256i x = _mm256_xor_si256(base, a_lanes);
+    a_lanes = _mm256_add_epi64(a_lanes, a_step);
+    x = mix_step<30>(x, mix1_lo, mix1_hi);
+    x = mix_step<27>(x, mix2_lo, mix2_hi);
+    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
+    const __m256i v = _mm256_srli_epi64(x, 11);
+    const __m256d lo =
+        _mm256_castsi256_pd(_mm256_blend_epi32(v, exp52, 0xAA));
+    const __m256d hi = _mm256_castsi256_pd(
+        _mm256_or_si256(_mm256_srli_epi64(v, 32), exp84));
+    const __m256d d = _mm256_add_pd(_mm256_sub_pd(hi, bias), lo);
+    _mm_storeu_ps(out + k, _mm256_cvtpd_ps(_mm256_mul_pd(d, scale)));
+  }
+  ref::hash_unit_row(seed, a0 + k, b, n - k, out + k);
+}
+
 }  // namespace
 
 const SimdOps* avx2_ops() {
   static const SimdOps ops = {
       Isa::kAvx2,          filter_row_avx2,  filter_col_avx2,
       sobel_row_avx2,      downsample_row_avx2, min_eig_row_avx2,
-      lk_sample_window_avx2, lk_sample_patch_avx2,
+      lk_sample_window_avx2, lk_sample_patch_avx2, hash_unit_row_avx2,
   };
   return &ops;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace adavp::vision::simd::ref {
 
@@ -149,6 +150,33 @@ inline void lk_sample_patch(const float* pix, int w, float base_x, float base_y,
       jvals[idx] = bilinear_unchecked(pix, w, jx, jy);
     }
   }
+}
+
+/// The synthetic camera's integer hash of a lattice point (a, b): the
+/// SplitMix64 finalizer over `seed ^ a*kHashA ^ b*kHashB`. The renderer
+/// derives its per-frame and per-object seeds from it as well, so it lives
+/// here once, next to the row kernel every tier must match.
+constexpr std::uint64_t kHashA = 0x9E3779B97F4A7C15ULL;
+constexpr std::uint64_t kHashB = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kMix1 = 0xBF58476D1CE4E5B9ULL;
+constexpr std::uint64_t kMix2 = 0x94D049BB133111EBULL;
+
+inline std::uint64_t hash3(std::uint64_t seed, std::int64_t a, std::int64_t b) {
+  std::uint64_t x = seed ^ (static_cast<std::uint64_t>(a) * kHashA) ^
+                    (static_cast<std::uint64_t>(b) * kHashB);
+  x = (x ^ (x >> 30)) * kMix1;
+  x = (x ^ (x >> 27)) * kMix2;
+  return x ^ (x >> 31);
+}
+
+/// The top 53 bits of `hash3` as a uniform float in [0, 1).
+inline float hash_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
+  return static_cast<float>((hash3(seed, a, b) >> 11) * 0x1.0p-53);
+}
+
+inline void hash_unit_row(std::uint64_t seed, std::int64_t a0, std::int64_t b,
+                          int n, float* out) {
+  for (int k = 0; k < n; ++k) out[k] = hash_unit(seed, a0 + k, b);
 }
 
 }  // namespace adavp::vision::simd::ref

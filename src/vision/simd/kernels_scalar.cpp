@@ -9,7 +9,7 @@ const SimdOps* scalar_ops() {
   static const SimdOps ops = {
       Isa::kScalar,        ref::filter_row,  ref::filter_col,
       ref::sobel_row,      ref::downsample_row, ref::min_eig_row,
-      ref::lk_sample_window, ref::lk_sample_patch,
+      ref::lk_sample_window, ref::lk_sample_patch, ref::hash_unit_row,
   };
   return &ops;
 }

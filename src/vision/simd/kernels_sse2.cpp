@@ -3,7 +3,10 @@
 // scalar reference exactly (kernels_ref.h), so results are bit-identical.
 // The LK sampling entries stay on the reference loops — without gathers
 // the bilinear taps would be assembled from scalar loads anyway, and the
-// SSE2 tier exists as a correctness fallback more than a speed tier.
+// SSE2 tier exists as a correctness fallback more than a speed tier. The
+// camera's hash row stays on the reference too: with two 64-bit lanes and
+// a 64-bit multiply built from three 32-bit ones it is no faster than the
+// scalar `imul` loop.
 //
 // Built with -msse2 -ffp-contract=off (see src/vision/CMakeLists.txt); on
 // targets where that flag is unavailable this file compiles to the
@@ -158,7 +161,7 @@ const SimdOps* sse2_ops() {
   static const SimdOps ops = {
       Isa::kSse2,          filter_row_sse2,  filter_col_sse2,
       sobel_row_sse2,      downsample_row_sse2, min_eig_row_sse2,
-      ref::lk_sample_window, ref::lk_sample_patch,
+      ref::lk_sample_window, ref::lk_sample_patch, ref::hash_unit_row,
   };
   return &ops;
 }

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "vision/optical_flow.h"
 #include "vision/pyramid.h"
 #include "vision/simd/dispatch.h"
+#include "vision/simd/kernels_ref.h"
 
 namespace adavp::vision {
 namespace {
@@ -326,6 +329,63 @@ TEST(KernelIsaMatrix, ForcedTiersClampToHostSupport) {
   EXPECT_EQ(simd::resolve_isa(with_isa(KernelConfig{}, simd::Isa::kScalar)),
             simd::Isa::kScalar);
   EXPECT_EQ(simd::ops_for_isa(simd::Isa::kScalar).isa, simd::Isa::kScalar);
+}
+
+// The camera's hash row: every tier against the per-element reference,
+// bit for bit, over lattice coordinates that exercise the 64-bit multiply
+// (negative and near +-2^40) and lengths around the 4-lane vector and the
+// 720p frame width, with a guard element past the end.
+TEST(SimdHash, HashUnitRowMatchesScalar) {
+  constexpr std::int64_t k40 = std::int64_t{1} << 40;
+  const std::int64_t coords[] = {0,       1,        -1,       -7,
+                                 12345,   -98765,   k40 - 3,  k40 + 2,
+                                 -k40 - 2, -k40 + 5, 0x7FFFFFFF, -0x80000000LL};
+  const int lengths[] = {0, 1, 3, 4, 5, 7, 8, 1280, 1283};
+  const simd::Isa tiers[] = {simd::Isa::kScalar, simd::Isa::kSse2,
+                             simd::Isa::kAvx2};
+  std::uint64_t rng = 0x5EED5EEDULL;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng ^ (rng >> 29);
+  };
+  constexpr float kGuard = -1.0f;
+  for (const simd::Isa isa : tiers) {
+    if (!tier_available(isa)) {
+      std::cout << "[ NOTICE  ] tier " << simd::isa_name(isa)
+                << " unavailable on this host/build; skipping\n";
+      continue;
+    }
+    const simd::SimdOps& ops = simd::ops_for_isa(isa);
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::uint64_t seed = next();
+      for (const std::int64_t a0 : coords) {
+        for (const std::int64_t b : coords) {
+          for (const int n : lengths) {
+            SCOPED_TRACE(std::string(simd::isa_name(isa)) + " seed " +
+                         std::to_string(seed) + " a0 " + std::to_string(a0) +
+                         " b " + std::to_string(b) + " n " +
+                         std::to_string(n));
+            std::vector<float> out(static_cast<std::size_t>(n) + 1, kGuard);
+            ops.hash_unit_row(seed, a0, b, n, out.data());
+            int mismatches = 0;
+            for (int k = 0; k < n; ++k) {
+              const float want = simd::ref::hash_unit(seed, a0 + k, b);
+              std::uint32_t got_bits = 0;
+              std::uint32_t want_bits = 0;
+              std::memcpy(&got_bits, &out[static_cast<std::size_t>(k)], 4);
+              std::memcpy(&want_bits, &want, 4);
+              if (got_bits != want_bits && ++mismatches <= 3) {
+                ADD_FAILURE() << "k " << k << ": got " << out[k] << " want "
+                              << want;
+              }
+            }
+            EXPECT_EQ(mismatches, 0);
+            EXPECT_EQ(out.back(), kGuard) << "wrote past n";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelEquivalence, TrackerReusesPyramidForRepeatedReferenceFrame) {

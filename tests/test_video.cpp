@@ -208,18 +208,6 @@ class PixelDigest {
 
 /// A library scenario at 1280x720, scaled as bench_e2e scales it: object
 /// sizes and speeds grow with the frame width.
-SceneConfig scene_720p(SceneConfig cfg) {
-  constexpr double kScale = 1280.0 / 384.0;
-  cfg.width = 1280;
-  cfg.height = 720;
-  cfg.speed_mean *= kScale;
-  cfg.speed_jitter *= kScale;
-  cfg.camera_pan *= kScale;
-  cfg.min_obj_size *= kScale;
-  cfg.max_obj_size *= kScale;
-  return cfg;
-}
-
 // Pins the rendered pixels themselves; the engine goldens see them only
 // through the tracker. The constant was captured from the per-pixel
 // value-noise renderer, so any renderer rewrite must stay bit-identical.
@@ -229,7 +217,7 @@ TEST(SyntheticVideoTest, RenderedPixelsMatchGoldenDigest) {
   const auto& library = scenario_library();
   for (std::size_t i = 0; i < library.size(); ++i) {
     const SceneConfig base = make_scene(library[i], 2020 + i, 30, 1.0);
-    for (const SceneConfig& cfg : {base, scene_720p(base)}) {
+    for (const SceneConfig& cfg : {base, scaled_to_720p(base)}) {
       SyntheticVideo video(cfg);
       digest.add(video.render(0));
       digest.add(video.render(29));
@@ -268,7 +256,7 @@ TEST(SyntheticVideoTest, RenderedPixelsMatchGoldenDigest) {
   EXPECT_TRUE(top_edge) << "no object straddled the top edge";
 
   // A row-sliced render: slices start mid lattice cell.
-  SyntheticVideo video(scene_720p(make_scene(library[13], 99, 10, 1.0)));
+  SyntheticVideo video(scaled_to_720p(make_scene(library[13], 99, 10, 1.0)));
   vision::ImageU8 sliced;
   video.render_into(9, sliced, /*num_threads=*/4);
   digest.add(sliced);
