@@ -7,9 +7,9 @@
 //    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK).
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
 //    the serial path (the historical sweep).
-//  * The synthetic camera — its hash row (1280 values, every tier) and one
-//    serial render of a 1280x720 scene like bench_e2e's adavp-720p, at the
-//    resolved tier.
+//  * The synthetic camera — its hash row (1280 values) and one serial
+//    render of a 1280x720 scene like bench_e2e's adavp-720p, whole and per
+//    pass (background, objects, sensor noise), on every tier.
 //
 // Every row is timed after one warm-up call and reports the minimum and
 // the median over the reps.
@@ -32,6 +32,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/args.h"
@@ -277,15 +278,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- The synthetic camera: one serial 720p render, resolved tier ------
+  // ---- The synthetic camera: a serial 720p render and its passes --------
   {
+    using Pass = video::SyntheticVideo::RenderPass;
+    const std::pair<const char*, Pass> passes[] = {
+        {"render_background", Pass::kBackground},
+        {"render_objects", Pass::kObjects},
+        {"render_noise", Pass::kSensorNoise}};
     const video::SyntheticVideo video(racetrack_720p());
-    vision::ImageU8 out;
-    const Timing t = time_ns(reps, [&] { video.render_into(15, out, 1); });
-    rows.push_back({"render_720p",
-                    vision::simd::isa_name(
-                        vision::simd::resolve_isa(vision::KernelConfig{})),
-                    1, t, 1.0});
+    vision::ImageU8 img(video.frame_size().width, video.frame_size().height);
+    const auto add_row = [&](const std::string& name, vision::simd::Isa isa,
+                             const std::function<void()>& fn) {
+      const Timing t = time_ns(reps, fn);
+      const auto scalar = std::find_if(rows.begin(), rows.end(), [&](const Row& r) {
+        return r.kernel == name && r.isa == "scalar";
+      });
+      rows.push_back({name, vision::simd::isa_name(isa), 1, t,
+                      scalar != rows.end() ? scalar->t.min_ns / t.min_ns : 1.0});
+    };
+    for (const vision::simd::Isa isa : tiers) {
+      // The three passes in order render the frame as render_into does.
+      add_row("render_720p", isa, [&] {
+        for (const auto& [name, pass] : passes) video.render_pass(15, pass, img, isa);
+      });
+      for (const auto& [name, pass] : passes) {
+        add_row(name, isa, [&] { video.render_pass(15, pass, img, isa); });
+      }
+    }
   }
 
   util::Table table(

@@ -113,35 +113,30 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
                         params_.kernels);
 
   // Gather live features for the flow call.
-  std::vector<std::size_t> live_idx;
-  std::vector<geometry::Point2f> pts;
-  live_idx.reserve(features_.size());
-  pts.reserve(features_.size());
+  live_idx_.clear();
+  live_pts_.clear();
   for (std::size_t i = 0; i < features_.size(); ++i) {
     if (alive_[i]) {
-      live_idx.push_back(i);
-      pts.push_back(features_[i]);
+      live_idx_.push_back(i);
+      live_pts_.push_back(features_[i]);
     }
   }
-  stats.features_attempted = static_cast<int>(pts.size());
+  stats.features_attempted = static_cast<int>(live_pts_.size());
 
-  std::vector<geometry::Point2f> next_pts;
-  std::vector<vision::FlowStatus> status;
-  vision::calc_optical_flow_pyr_lk(prev_pyramid_, next_pyramid_, pts, next_pts,
-                                   status, params_.lk, params_.kernels);
+  vision::calc_optical_flow_pyr_lk(prev_pyramid_, next_pyramid_, live_pts_,
+                                   next_pts_, status_, params_.lk,
+                                   params_.kernels);
 
   // Forward-backward validation (optional): a correctly tracked feature
   // must come home when tracked back into the previous frame.
   if (params_.forward_backward_check) {
-    std::vector<geometry::Point2f> back_pts;
-    std::vector<vision::FlowStatus> back_status;
-    vision::calc_optical_flow_pyr_lk(next_pyramid_, prev_pyramid_, next_pts,
-                                     back_pts, back_status, params_.lk,
+    vision::calc_optical_flow_pyr_lk(next_pyramid_, prev_pyramid_, next_pts_,
+                                     back_pts_, back_status_, params_.lk,
                                      params_.kernels);
-    for (std::size_t k = 0; k < pts.size(); ++k) {
-      if (!back_status[k].tracked ||
-          (back_pts[k] - pts[k]).norm() > params_.fb_threshold) {
-        status[k].tracked = false;
+    for (std::size_t k = 0; k < live_pts_.size(); ++k) {
+      if (!back_status_[k].tracked ||
+          (back_pts_[k] - live_pts_[k]).norm() > params_.fb_threshold) {
+        status_[k].tracked = false;
       }
     }
   }
@@ -150,16 +145,16 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
   const float max_disp =
       params_.max_step_displacement * static_cast<float>(stats.frame_gap);
 
-  std::vector<geometry::Point2f> deltas(features_.size());
-  for (std::size_t k = 0; k < live_idx.size(); ++k) {
-    const std::size_t i = live_idx[k];
-    const geometry::Point2f delta = next_pts[k] - features_[i];
-    if (!status[k].tracked || delta.norm() > max_disp) {
+  deltas_.assign(features_.size(), {});
+  for (std::size_t k = 0; k < live_idx_.size(); ++k) {
+    const std::size_t i = live_idx_[k];
+    const geometry::Point2f delta = next_pts_[k] - features_[i];
+    if (!status_[k].tracked || delta.norm() > max_disp) {
       alive_[i] = false;
       continue;
     }
-    deltas[i] = delta;
-    features_[i] = next_pts[k];
+    deltas_[i] = delta;
+    features_[i] = next_pts_[k];
     ++stats.features_tracked;
     stats.displacement_sum += delta.norm();
   }
@@ -172,16 +167,14 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
   stats.displacement_sum = 0.0;
   stats.features_tracked = 0;
   for (auto& obj : objects_) {
-    std::vector<float> dxs;
-    std::vector<float> dys;
-    dxs.reserve(obj.features.size());
-    dys.reserve(obj.features.size());
+    dxs_.clear();
+    dys_.clear();
     for (std::size_t fi : obj.features) {
       if (!alive_[fi]) continue;
-      dxs.push_back(deltas[fi].x);
-      dys.push_back(deltas[fi].y);
+      dxs_.push_back(deltas_[fi].x);
+      dys_.push_back(deltas_[fi].y);
     }
-    if (dxs.empty()) {
+    if (dxs_.empty()) {
       obj.lost = true;  // box frozen until the next detection calibrates it
       continue;
     }
@@ -190,7 +183,7 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
       std::nth_element(v.begin(), v.begin() + static_cast<long>(mid), v.end());
       return v[mid];
     };
-    const geometry::Point2f med{median_of(dxs), median_of(dys)};
+    const geometry::Point2f med{median_of(dxs_), median_of(dys_)};
     const float gate = std::max(
         3.0f * static_cast<float>(stats.frame_gap), 0.6f * med.norm() + 2.0f);
 
@@ -198,12 +191,12 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
     int surviving = 0;
     for (std::size_t fi : obj.features) {
       if (!alive_[fi]) continue;
-      if ((deltas[fi] - med).norm() > gate) {
+      if ((deltas_[fi] - med).norm() > gate) {
         alive_[fi] = false;  // outlier: LK latched onto something else
         continue;
       }
-      motion += deltas[fi];
-      stats.displacement_sum += deltas[fi].norm();
+      motion += deltas_[fi];
+      stats.displacement_sum += deltas_[fi].norm();
       ++stats.features_tracked;
       ++surviving;
     }

@@ -100,6 +100,19 @@ class ObjectTracker : public TrackerInterface {
   // set_reference's scratch: the detection boxes and their feature mask.
   std::vector<geometry::BoundingBox> mask_boxes_;
   vision::ImageU8 mask_;
+  // track_to's scratch, cleared per call, so a step allocates nothing once
+  // the vectors have grown: the live features (indices into features_ and
+  // points), LK's forward and backward results, every feature's motion,
+  // and one object's motions for their median.
+  std::vector<std::size_t> live_idx_;
+  std::vector<geometry::Point2f> live_pts_;
+  std::vector<geometry::Point2f> next_pts_;
+  std::vector<vision::FlowStatus> status_;
+  std::vector<geometry::Point2f> back_pts_;
+  std::vector<vision::FlowStatus> back_status_;
+  std::vector<geometry::Point2f> deltas_;
+  std::vector<float> dxs_;
+  std::vector<float> dys_;
   geometry::Size frame_size_{};  // of the last processed frame
 };
 

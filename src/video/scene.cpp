@@ -123,80 +123,28 @@ class NoiseOctave {
   bool has_row_ = false;
 };
 
-/// The vertical lerps of both octaves and their combination, one row.
-/// `__restrict` parameters let the compiler vectorize the column loop.
-void texture_row(const float* __restrict ct, const float* __restrict cb,
-                 float cfy, const float* __restrict ft,
-                 const float* __restrict fb, float ffy, int n,
-                 float* __restrict out) {
-  for (int i = 0; i < n; ++i) {
-    const float coarse = (ct[i] + cfy * (cb[i] - ct[i])) - 0.5f;
-    const float fine = (ft[i] + ffy * (fb[i] - ft[i])) - 0.5f;
-    out[i] = coarse * 0.7f + fine * 0.5f;
-  }
-}
-
 /// The two-octave texture over a run of columns; see NoiseOctave.
 class Texture {
  public:
   template <typename Column>
   Texture(const vision::simd::SimdOps& ops, util::ScratchArena& arena, int n,
           std::uint64_t seed, Column column)
-      : n_(n),
-        coarse_(ops, arena, n, seed, kCoarseCell, column),
+      : coarse_(ops, arena, n, seed, kCoarseCell, column),
         fine_(ops, arena, n, seed ^ kFineSeedMix, kFineCell, column) {}
 
-  void select_row(float y) {
-    coarse_fy_ = coarse_.select_row(y);
-    fine_fy_ = fine_.select_row(y);
-  }
-
-  /// The selected row's texture, one value per column, into `out[0, n)`.
-  void row(float* out) const {
-    texture_row(coarse_.top(), coarse_.bot(), coarse_fy_, fine_.top(),
-                fine_.bot(), fine_fy_, n_, out);
+  /// The lattice rows and weights of the texture at row `y`, for the
+  /// SimdOps pixel-row kernels.
+  vision::simd::TextureRow row_at(float y) {
+    const float coarse_fy = coarse_.select_row(y);
+    const float fine_fy = fine_.select_row(y);
+    return {coarse_.top(), coarse_.bot(), coarse_fy,
+            fine_.top(),   fine_.bot(),   fine_fy};
   }
 
  private:
-  int n_;
   NoiseOctave coarse_;
   NoiseOctave fine_;
-  float coarse_fy_ = 0.0f;
-  float fine_fy_ = 0.0f;
 };
-
-std::uint8_t to_pixel(float v) {
-  return static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
-}
-
-void shade_background_row(const float* __restrict tex, int n,
-                          std::uint8_t* __restrict dst) {
-  for (int x = 0; x < n; ++x) dst[x] = to_pixel(120.0f + 45.0f * tex[x]);
-}
-
-/// Object pixels x0 .. x0 + n - 1 of a row at object-local `ly`.
-void shade_object_row(const float* __restrict tex, int x0, int n, float left,
-                      float width, float height, float ly, float base,
-                      float contrast, std::uint8_t* __restrict dst) {
-  for (int i = 0; i < n; ++i) {
-    const float lx = static_cast<float>(x0 + i) - left;
-    const float v = base + contrast * tex[i];
-    // Darken a thin border so the object silhouette has strong edges. The
-    // darkening 45 * (2 - edge) / 2 is positive exactly when edge < 2
-    // (edge >= 0 here), so the min is the darkened value inside the border
-    // and v elsewhere: the branch without a branch, which vectorizes.
-    const float edge =
-        std::min(std::min(lx, ly), std::min(width - lx, height - ly));
-    dst[i] = to_pixel(std::min(v, v - 45.0f * (2.0f - edge) / 2.0f));
-  }
-}
-
-void add_sensor_noise_row(const float* __restrict u, int n, float amp,
-                          std::uint8_t* __restrict dst) {
-  for (int x = 0; x < n; ++x) {
-    dst[x] = to_pixel(static_cast<float>(dst[x]) + amp * (u[x] - 0.5f));
-  }
-}
 
 }  // namespace
 
@@ -394,23 +342,23 @@ void SyntheticVideo::rasterize_object_rows(vision::ImageU8& img,
   Texture texture(ops, arena, xb - xa, obj.texture_seed, [&](int i) {
     return static_cast<float>(xa + i) - obj.left;
   });
-  float* tex = arena.alloc<float>(static_cast<std::size_t>(xb - xa));
 
+  vision::simd::ObjectRowShade shade{};
+  shade.x0 = xa;
+  shade.left = obj.left;
+  shade.width = obj.width;
+  shade.height = obj.height;
   // Base tone per object so objects stand out from each other and from the
   // background.
-  const float base =
-      90.0f + 110.0f * hash_unit(obj.texture_seed, 17, 23);
-  const auto contrast = static_cast<float>(config_.texture_contrast);
+  shade.base = 90.0f + 110.0f * hash_unit(obj.texture_seed, 17, 23);
+  shade.contrast = static_cast<float>(config_.texture_contrast);
 
   std::uint8_t* pixels = img.pixels().data();
   for (int y = std::max(y0, 0); y < y1; ++y) {
-    const float ly = static_cast<float>(y) - obj.top;
-    if (ly < 0.0f || ly >= obj.height) continue;
-    texture.select_row(ly);
-    texture.row(tex);
-    shade_object_row(tex, xa, xb - xa, obj.left, obj.width, obj.height, ly,
-                     base, contrast,
-                     pixels + static_cast<std::size_t>(y) * img.width() + xa);
+    shade.ly = static_cast<float>(y) - obj.top;
+    if (shade.ly < 0.0f || shade.ly >= obj.height) continue;
+    ops.object_row(texture.row_at(shade.ly), shade, xb - xa,
+                   pixels + static_cast<std::size_t>(y) * img.width() + xa);
   }
 }
 
@@ -463,45 +411,65 @@ vision::ImageU8 SyntheticVideo::rasterize(int index) const {
   return img;
 }
 
+void SyntheticVideo::render_pass(int index, RenderPass pass,
+                                 vision::ImageU8& img,
+                                 vision::simd::Isa isa) const {
+  vision::KernelConfig kernels;
+  kernels.isa = isa;
+  img.reset(config_.width, config_.height);
+  rasterize_pass(index, pass, img, 0, config_.height,
+                 vision::simd::ops_for(kernels));
+}
+
 void SyntheticVideo::rasterize_rows(int index, vision::ImageU8& img,
                                     int row_begin, int row_end) const {
-  const auto& snaps = frames_.at(static_cast<std::size_t>(index));
-  const auto pan = static_cast<float>(pan_offset_.at(static_cast<std::size_t>(index)));
   // Resolved per call, so ADAVP_FORCE_ISA reaches the camera too.
   const vision::simd::SimdOps& ops = vision::simd::ops_for(vision::KernelConfig{});
+  for (const RenderPass pass :
+       {RenderPass::kBackground, RenderPass::kObjects, RenderPass::kSensorNoise}) {
+    rasterize_pass(index, pass, img, row_begin, row_end, ops);
+  }
+}
+
+void SyntheticVideo::rasterize_pass(int index, RenderPass pass,
+                                    vision::ImageU8& img, int row_begin,
+                                    int row_end,
+                                    const vision::simd::SimdOps& ops) const {
   const int width = config_.width;
   const auto row_at = [&](int y) {
     return img.pixels().data() + static_cast<std::size_t>(y) * width;
   };
-  util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
-
-  // Background: world-anchored noise that scrolls with the camera pan.
-  {
-    util::ScratchArena::Scope scope(arena);
-    Texture texture(ops, arena, width, background_seed_, [&](int x) {
-      return static_cast<float>(x) + pan;
-    });
-    float* tex = arena.alloc<float>(static_cast<std::size_t>(width));
-    for (int y = row_begin; y < row_end; ++y) {
-      texture.select_row(static_cast<float>(y));
-      texture.row(tex);
-      shade_background_row(tex, width, row_at(y));
+  switch (pass) {
+    case RenderPass::kBackground: {
+      // World-anchored noise that scrolls with the camera pan.
+      const auto pan =
+          static_cast<float>(pan_offset_.at(static_cast<std::size_t>(index)));
+      util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
+      util::ScratchArena::Scope scope(arena);
+      Texture texture(ops, arena, width, background_seed_, [&](int x) {
+        return static_cast<float>(x) + pan;
+      });
+      for (int y = row_begin; y < row_end; ++y) {
+        ops.background_row(texture.row_at(static_cast<float>(y)), width,
+                           row_at(y));
+      }
+      break;
     }
-  }
-  for (const auto& obj : snaps) {
-    rasterize_object_rows(img, obj, row_begin, row_end, ops);
-  }
-
-  // Deterministic per-frame sensor noise.
-  if (config_.noise_sigma > 0.0) {
-    const std::uint64_t noise_seed = hash3(config_.seed, 0x6E6F6973, index);
-    const float amp = 3.4f * static_cast<float>(config_.noise_sigma);
-    util::ScratchArena::Scope scope(arena);
-    float* u = arena.alloc<float>(static_cast<std::size_t>(width));
-    for (int y = row_begin; y < row_end; ++y) {
-      ops.hash_unit_row(noise_seed, 0, y, width, u);
-      add_sensor_noise_row(u, width, amp, row_at(y));
-    }
+    case RenderPass::kObjects:
+      for (const auto& obj : frames_.at(static_cast<std::size_t>(index))) {
+        rasterize_object_rows(img, obj, row_begin, row_end, ops);
+      }
+      break;
+    case RenderPass::kSensorNoise:
+      // Deterministic per-frame sensor noise.
+      if (config_.noise_sigma > 0.0) {
+        const std::uint64_t noise_seed = hash3(config_.seed, 0x6E6F6973, index);
+        const float amp = 3.4f * static_cast<float>(config_.noise_sigma);
+        for (int y = row_begin; y < row_end; ++y) {
+          ops.noise_row(noise_seed, 0, y, width, amp, row_at(y));
+        }
+      }
+      break;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "util/rng.h"
 #include "video/object_class.h"
 #include "vision/image.h"
+#include "vision/simd/isa.h"
 
 namespace adavp::vision::simd {
 struct SimdOps;
@@ -99,6 +100,18 @@ class SyntheticVideo {
   /// sensor noise) are pure per-pixel functions.
   void render_into(int index, vision::ImageU8& out, int num_threads = 1) const;
 
+  /// The passes a render runs over every row, in this order.
+  enum class RenderPass { kBackground, kObjects, kSensorNoise };
+
+  /// Runs one pass of frame `index` over all of `img`, serially and on
+  /// kernel tier `isa` (kAuto: the tier `render_into` resolves). `img` is
+  /// sized to the frame, keeping its pixels when it already is, so the
+  /// three passes in order on one image render the frame exactly as
+  /// `render_into` does; bench_kernels times each pass on each tier
+  /// through it.
+  void render_pass(int index, RenderPass pass, vision::ImageU8& img,
+                   vision::simd::Isa isa = vision::simd::Isa::kAuto) const;
+
   /// Pre-renders every frame into an in-memory cache so subsequent
   /// `render` calls are O(copy) and FrameStore refs alias the cache with
   /// no copy at all. Rasterization is parallelized over frames on the
@@ -145,6 +158,10 @@ class SyntheticVideo {
   /// [row_begin, row_end) of frame `index` — the unit of row-parallelism.
   void rasterize_rows(int index, vision::ImageU8& img, int row_begin,
                       int row_end) const;
+  /// One pass of `rasterize_rows`.
+  void rasterize_pass(int index, RenderPass pass, vision::ImageU8& img,
+                      int row_begin, int row_end,
+                      const vision::simd::SimdOps& ops) const;
 
   vision::ImageU8 rasterize(int index) const;
 

@@ -7,11 +7,37 @@
 
 namespace adavp::vision::simd {
 
+/// One row of the synthetic camera's two-octave texture (DESIGN.md §8):
+/// each octave's two bracketing lattice rows, already lerped across the
+/// columns, and the row's vertical smoothstep weight. Column i reads
+///   tex[i] = (lerp(coarse, i) - 0.5) * 0.7 + (lerp(fine, i) - 0.5) * 0.5
+/// with lerp(o, i) = o_top[i] + o_fy * (o_bot[i] - o_top[i]).
+struct TextureRow {
+  const float* coarse_top;
+  const float* coarse_bot;
+  float coarse_fy;
+  const float* fine_top;
+  const float* fine_bot;
+  float fine_fy;
+};
+
+/// Where a run of object pixels sits in the object's own coordinates, and
+/// the object's tone.
+struct ObjectRowShade {
+  int x0;          ///< image column of the run's first pixel
+  float left;      ///< object box in image columns
+  float width;
+  float height;
+  float ly;        ///< object-local y of the row
+  float base;      ///< tone: base + contrast * tex
+  float contrast;
+};
+
 /// Function table of the vectorized interior kernels (DESIGN.md §14).
 ///
 /// Every entry covers only the *interior* of its loop — the span where the
 /// scalar reference performs no border clamping — and must produce floats
-/// bit-identical to that reference: per output element the same operations
+/// (or, for the camera's pixel rows, bytes) bit-identical to that reference: per output element the same operations
 /// in the same order, one SIMD lane per element, with loop-carried
 /// reductions left to the (scalar) caller. Border columns/rows and
 /// sub-vector tails run the shared reference loops in `kernels_ref.h`.
@@ -70,6 +96,24 @@ struct SimdOps {
   /// rounding the reference does, so every tier is bit-identical.
   void (*hash_unit_row)(std::uint64_t seed, std::int64_t a0, std::int64_t b,
                         int n, float* out);
+
+  /// The camera's pixel rows. Each shades a float per pixel and narrows it
+  /// with pixel(v) = uint8(min(255, max(0, v))), NaN reading as 0.
+  ///
+  /// Background: for x in [0, n)  dst[x] = pixel(120 + 45 * tex[x]).
+  void (*background_row)(const TextureRow& tex, int n, std::uint8_t* dst);
+
+  /// An object's run of n pixels, darkened along its border: for i in
+  /// [0, n), with lx = float(x0 + i) - left and v = base + contrast * tex[i],
+  ///   edge = min(min(lx, ly), min(width - lx, height - ly)),
+  ///   dst[i] = pixel(min(v, v - 45 * (2 - edge) / 2)).
+  void (*object_row)(const TextureRow& tex, const ObjectRowShade& shade, int n,
+                     std::uint8_t* dst);
+
+  /// Sensor noise added in place: for k in [0, n)
+  ///   dst[k] = pixel(dst[k] + amp * (ref::hash_unit(seed, a0 + k, b) - 0.5)).
+  void (*noise_row)(std::uint64_t seed, std::int64_t a0, std::int64_t b, int n,
+                    float amp, std::uint8_t* dst);
 };
 
 /// Tables provided by the per-ISA translation units. `sse2_ops` /

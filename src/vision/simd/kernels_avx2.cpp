@@ -1,12 +1,14 @@
 // AVX2 tier: 8-wide vectorization of the interior kernels, one lane per
 // output element, plus gathered bilinear sampling for the two LK hot
-// loops and a 4 x u64 hash row for the synthetic camera. Per-lane operation order mirrors the scalar reference exactly
-// (kernels_ref.h), and all loop-carried reductions (LK's gxx/bx/residual
-// accumulations) stay with the scalar caller, so every result is
-// bit-identical to the reference — see DESIGN.md §14 for the
-// lane-reduction rules. Sub-vector window tails use masked gathers and
-// masked stores rather than scalar cleanup: masked-off lanes never touch
-// memory, and live lanes compute the same floats either way.
+// loops, and the synthetic camera's rows: a 4 x u64 hash row and the
+// fused shade-clamp-narrow pixel rows. Per-lane operation order mirrors
+// the scalar reference exactly (kernels_ref.h), and all loop-carried
+// reductions (LK's gxx/bx/residual accumulations) stay with the scalar
+// caller, so every result is bit-identical to the reference — see
+// DESIGN.md §14 for the lane-reduction rules. Sub-vector window tails use
+// masked gathers and masked stores rather than scalar cleanup: masked-off
+// lanes never touch memory, and live lanes compute the same floats either
+// way.
 //
 // Built with -mavx2 -ffp-contract=off (never -mfma): contraction would
 // fuse the mul/add chains into FMAs and change the low bits. On targets
@@ -324,47 +326,181 @@ inline __m256i split_const(std::uint64_t c, bool high) {
   return _mm256_set1_epi64x(static_cast<long long>(high ? c >> 32 : c));
 }
 
+/// ref::hash_unit over a run of lattice points (a0 + k, b), four u64 lanes
+/// at a time: `next()` returns the floats of the next four points.
+class HashLanes {
+ public:
+  HashLanes(std::uint64_t seed, std::int64_t a0, std::int64_t b)
+      : mix1_lo_(split_const(ref::kMix1, false)),
+        mix1_hi_(split_const(ref::kMix1, true)),
+        mix2_lo_(split_const(ref::kMix2, false)),
+        mix2_hi_(split_const(ref::kMix2, true)),
+        // seed ^ a*kHashA ^ b*kHashB: the b term is fixed for the row, and
+        // a*kHashA steps by 4*kHashA per vector (all mod 2^64, as in the
+        // scalar code).
+        base_(_mm256_set1_epi64x(static_cast<long long>(
+            seed ^ (static_cast<std::uint64_t>(b) * ref::kHashB)))),
+        a_step_(_mm256_set1_epi64x(static_cast<long long>(4 * ref::kHashA))) {
+    const std::uint64_t a_hash = static_cast<std::uint64_t>(a0) * ref::kHashA;
+    a_lanes_ = _mm256_set_epi64x(static_cast<long long>(a_hash + 3 * ref::kHashA),
+                                 static_cast<long long>(a_hash + 2 * ref::kHashA),
+                                 static_cast<long long>(a_hash + ref::kHashA),
+                                 static_cast<long long>(a_hash));
+  }
+
+  __m128 next() {
+    __m256i x = _mm256_xor_si256(base_, a_lanes_);
+    a_lanes_ = _mm256_add_epi64(a_lanes_, a_step_);
+    x = mix_step<30>(x, mix1_lo_, mix1_hi_);
+    x = mix_step<27>(x, mix2_lo_, mix2_hi_);
+    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
+    // h >> 11 < 2^53 converts exactly: its low 32 bits under the exponent
+    // of 2^52 and its high bits under the exponent of 2^84 are two exact
+    // doubles, and (hi - 2^84 - 2^52) + lo is their exact sum.
+    const __m256i v = _mm256_srli_epi64(x, 11);
+    const __m256d lo = _mm256_castsi256_pd(
+        _mm256_blend_epi32(v, _mm256_set1_epi64x(0x4330000000000000LL), 0xAA));
+    const __m256d hi = _mm256_castsi256_pd(_mm256_or_si256(
+        _mm256_srli_epi64(v, 32), _mm256_set1_epi64x(0x4530000000000000LL)));
+    const __m256d d =
+        _mm256_add_pd(_mm256_sub_pd(hi, _mm256_set1_pd(0x1.0p84 + 0x1.0p52)), lo);
+    return _mm256_cvtpd_ps(_mm256_mul_pd(d, _mm256_set1_pd(0x1.0p-53)));
+  }
+
+ private:
+  __m256i mix1_lo_;
+  __m256i mix1_hi_;
+  __m256i mix2_lo_;
+  __m256i mix2_hi_;
+  __m256i base_;
+  __m256i a_step_;
+  __m256i a_lanes_;
+};
+
 void hash_unit_row_avx2(std::uint64_t seed, std::int64_t a0, std::int64_t b,
                         int n, float* out) {
-  const __m256i mix1_lo = split_const(ref::kMix1, false);
-  const __m256i mix1_hi = split_const(ref::kMix1, true);
-  const __m256i mix2_lo = split_const(ref::kMix2, false);
-  const __m256i mix2_hi = split_const(ref::kMix2, true);
-  // seed ^ a*kHashA ^ b*kHashB: the b term is fixed for the row, and
-  // a*kHashA steps by 4*kHashA per vector (all mod 2^64, as in the scalar).
-  const __m256i base = _mm256_set1_epi64x(static_cast<long long>(
-      seed ^ (static_cast<std::uint64_t>(b) * ref::kHashB)));
-  const std::uint64_t a_hash = static_cast<std::uint64_t>(a0) * ref::kHashA;
-  __m256i a_lanes = _mm256_set_epi64x(
-      static_cast<long long>(a_hash + 3 * ref::kHashA),
-      static_cast<long long>(a_hash + 2 * ref::kHashA),
-      static_cast<long long>(a_hash + ref::kHashA),
-      static_cast<long long>(a_hash));
-  const __m256i a_step = _mm256_set1_epi64x(
-      static_cast<long long>(4 * ref::kHashA));
-  // h >> 11 < 2^53 converts exactly: its low 32 bits under the exponent of
-  // 2^52 and its high bits under the exponent of 2^84 are two exact
-  // doubles, and (hi - 2^84 - 2^52) + lo is their exact sum.
-  const __m256i exp52 = _mm256_set1_epi64x(0x4330000000000000LL);
-  const __m256i exp84 = _mm256_set1_epi64x(0x4530000000000000LL);
-  const __m256d bias = _mm256_set1_pd(0x1.0p84 + 0x1.0p52);
-  const __m256d scale = _mm256_set1_pd(0x1.0p-53);
+  HashLanes hash(seed, a0, b);
   int k = 0;
-  for (; k + 4 <= n; k += 4) {
-    __m256i x = _mm256_xor_si256(base, a_lanes);
-    a_lanes = _mm256_add_epi64(a_lanes, a_step);
-    x = mix_step<30>(x, mix1_lo, mix1_hi);
-    x = mix_step<27>(x, mix2_lo, mix2_hi);
-    x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-    const __m256i v = _mm256_srli_epi64(x, 11);
-    const __m256d lo =
-        _mm256_castsi256_pd(_mm256_blend_epi32(v, exp52, 0xAA));
-    const __m256d hi = _mm256_castsi256_pd(
-        _mm256_or_si256(_mm256_srli_epi64(v, 32), exp84));
-    const __m256d d = _mm256_add_pd(_mm256_sub_pd(hi, bias), lo);
-    _mm_storeu_ps(out + k, _mm256_cvtpd_ps(_mm256_mul_pd(d, scale)));
-  }
+  for (; k + 4 <= n; k += 4) _mm_storeu_ps(out + k, hash.next());
   ref::hash_unit_row(seed, a0 + k, b, n - k, out + k);
+}
+
+// ---- The camera's pixel rows ---------------------------------------------
+
+/// ref::texture_value on eight columns, in the same operand order. The row
+/// pointers are copied out of the TextureRow once: the byte stores may
+/// alias anything, so reading them through it would reload them per
+/// vector.
+class Texture8 {
+ public:
+  explicit Texture8(const TextureRow& t)
+      : ct_(t.coarse_top), cb_(t.coarse_bot), ft_(t.fine_top),
+        fb_(t.fine_bot), cfy_(_mm256_set1_ps(t.coarse_fy)),
+        ffy_(_mm256_set1_ps(t.fine_fy)) {}
+
+  __m256 at(int i) const {
+    const __m256 half = _mm256_set1_ps(0.5f);
+    const __m256 coarse = _mm256_sub_ps(lerp(ct_ + i, cb_ + i, cfy_), half);
+    const __m256 fine = _mm256_sub_ps(lerp(ft_ + i, fb_ + i, ffy_), half);
+    return _mm256_add_ps(_mm256_mul_ps(coarse, _mm256_set1_ps(0.7f)),
+                         _mm256_mul_ps(fine, _mm256_set1_ps(0.5f)));
+  }
+
+ private:
+  static __m256 lerp(const float* top, const float* bot, __m256 fy) {
+    const __m256 t = _mm256_loadu_ps(top);
+    return _mm256_add_ps(t, _mm256_mul_ps(fy, _mm256_sub_ps(_mm256_loadu_ps(bot), t)));
+  }
+
+  const float* ct_;
+  const float* cb_;
+  const float* ft_;
+  const float* fb_;
+  __m256 cfy_;
+  __m256 ffy_;
+};
+
+/// The TextureRow whose column 0 is column k of `t`, for the scalar tails.
+TextureRow advanced(const TextureRow& t, int k) {
+  return {t.coarse_top + k, t.coarse_bot + k, t.coarse_fy,
+          t.fine_top + k,   t.fine_bot + k,   t.fine_fy};
+}
+
+/// ref::to_pixel on eight lanes, stored as eight bytes. max(v, 0) then
+/// min(., 255) in the reference's operand order (maxps returns its second
+/// operand when either is NaN, so NaN reads as 0, as std::max(0.0f, NaN)
+/// does); truncation by cvttps equals the scalar cast on [0, 255], where
+/// the signed and unsigned saturating packs change nothing.
+inline void store_pixels8(std::uint8_t* dst, __m256 v) {
+  const __m256i q = _mm256_cvttps_epi32(_mm256_min_ps(
+      _mm256_max_ps(v, _mm256_setzero_ps()), _mm256_set1_ps(255.0f)));
+  const __m128i words = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                        _mm256_extracti128_si256(q, 1));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(dst),
+                   _mm_packus_epi16(words, words));
+}
+
+void background_row_avx2(const TextureRow& tex, int n, std::uint8_t* dst) {
+  const Texture8 texture(tex);
+  const __m256 offset = _mm256_set1_ps(120.0f);
+  const __m256 gain = _mm256_set1_ps(45.0f);
+  int x = 0;
+  for (; x + 8 <= n; x += 8) {
+    store_pixels8(dst + x,
+                  _mm256_add_ps(offset, _mm256_mul_ps(gain, texture.at(x))));
+  }
+  ref::background_row(advanced(tex, x), n - x, dst + x);
+}
+
+void object_row_avx2(const TextureRow& tex, const ObjectRowShade& shade, int n,
+                     std::uint8_t* dst) {
+  const Texture8 texture(tex);
+  const __m256 left = _mm256_set1_ps(shade.left);
+  const __m256 width = _mm256_set1_ps(shade.width);
+  const __m256 ly = _mm256_set1_ps(shade.ly);
+  const __m256 height_ly = _mm256_set1_ps(shade.height - shade.ly);
+  const __m256 base = _mm256_set1_ps(shade.base);
+  const __m256 contrast = _mm256_set1_ps(shade.contrast);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 darken = _mm256_set1_ps(45.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256i lane = lane_index();
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 lx = _mm256_sub_ps(
+        _mm256_cvtepi32_ps(_mm256_add_epi32(_mm256_set1_epi32(shade.x0 + i), lane)),
+        left);
+    const __m256 v = _mm256_add_ps(base, _mm256_mul_ps(contrast, texture.at(i)));
+    // std::min(a, b) is (b < a) ? b : a, which is minps(b, a).
+    const __m256 edge =
+        _mm256_min_ps(_mm256_min_ps(height_ly, _mm256_sub_ps(width, lx)),
+                      _mm256_min_ps(ly, lx));
+    // x / 2 and x * 0.5 are the same correctly rounded float.
+    const __m256 dark = _mm256_sub_ps(
+        v, _mm256_mul_ps(_mm256_mul_ps(darken, _mm256_sub_ps(two, edge)), half));
+    store_pixels8(dst + i, _mm256_min_ps(dark, v));
+  }
+  ObjectRowShade rest = shade;
+  rest.x0 += i;
+  ref::object_row(advanced(tex, i), rest, n - i, dst + i);
+}
+
+void noise_row_avx2(std::uint64_t seed, std::int64_t a0, std::int64_t b, int n,
+                    float amp, std::uint8_t* dst) {
+  HashLanes hash(seed, a0, b);
+  const __m256 vamp = _mm256_set1_ps(amp);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  int k = 0;
+  for (; k + 8 <= n; k += 8) {
+    const __m128 u_lo = hash.next();
+    const __m256 u = _mm256_insertf128_ps(_mm256_castps128_ps256(u_lo),
+                                          hash.next(), 1);
+    const __m256 pixel = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(dst + k))));
+    store_pixels8(dst + k, _mm256_add_ps(pixel, _mm256_mul_ps(
+                                                    vamp, _mm256_sub_ps(u, half))));
+  }
+  ref::noise_row(seed, a0 + k, b, n - k, amp, dst + k);
 }
 
 }  // namespace
@@ -374,6 +510,7 @@ const SimdOps* avx2_ops() {
       Isa::kAvx2,          filter_row_avx2,  filter_col_avx2,
       sobel_row_avx2,      downsample_row_avx2, min_eig_row_avx2,
       lk_sample_window_avx2, lk_sample_patch_avx2, hash_unit_row_avx2,
+      background_row_avx2, object_row_avx2, noise_row_avx2,
   };
   return &ops;
 }

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "vision/simd/kernels.h"
+
 namespace adavp::vision::simd::ref {
 
 // The scalar reference loops, verbatim from the historical kernels. They
@@ -177,6 +179,78 @@ inline float hash_unit(std::uint64_t seed, std::int64_t a, std::int64_t b) {
 inline void hash_unit_row(std::uint64_t seed, std::int64_t a0, std::int64_t b,
                           int n, float* out) {
   for (int k = 0; k < n; ++k) out[k] = hash_unit(seed, a0 + k, b);
+}
+
+/// The camera's narrowing of a shaded value: clamp to [0, 255], truncate.
+/// max before min, 0 as max's first operand: NaN reads as 0.
+inline std::uint8_t to_pixel(float v) {
+  return static_cast<std::uint8_t>(std::min(255.0f, std::max(0.0f, v)));
+}
+
+/// One column of TextureRow's formula, from its six inputs.
+inline float texture_value(float coarse_top, float coarse_bot, float coarse_fy,
+                           float fine_top, float fine_bot, float fine_fy) {
+  const float coarse = (coarse_top + coarse_fy * (coarse_bot - coarse_top)) - 0.5f;
+  const float fine = (fine_top + fine_fy * (fine_bot - fine_top)) - 0.5f;
+  return coarse * 0.7f + fine * 0.5f;
+}
+
+// The pixel rows copy the row pointers into `__restrict` locals: a
+// `uint8_t` store may alias anything, so through the structs the compiler
+// would reload every pointer per pixel and vectorize nothing.
+
+inline void background_row(const TextureRow& tex, int n, std::uint8_t* dst) {
+  const float* __restrict ct = tex.coarse_top;
+  const float* __restrict cb = tex.coarse_bot;
+  const float* __restrict ft = tex.fine_top;
+  const float* __restrict fb = tex.fine_bot;
+  const float cfy = tex.coarse_fy;
+  const float ffy = tex.fine_fy;
+  std::uint8_t* __restrict out = dst;
+  for (int x = 0; x < n; ++x) {
+    out[x] = to_pixel(
+        120.0f + 45.0f * texture_value(ct[x], cb[x], cfy, ft[x], fb[x], ffy));
+  }
+}
+
+inline void object_row(const TextureRow& tex, const ObjectRowShade& shade,
+                       int n, std::uint8_t* dst) {
+  const float* __restrict ct = tex.coarse_top;
+  const float* __restrict cb = tex.coarse_bot;
+  const float* __restrict ft = tex.fine_top;
+  const float* __restrict fb = tex.fine_bot;
+  const float cfy = tex.coarse_fy;
+  const float ffy = tex.fine_fy;
+  const ObjectRowShade s = shade;
+  std::uint8_t* __restrict out = dst;
+  for (int i = 0; i < n; ++i) {
+    const float lx = static_cast<float>(s.x0 + i) - s.left;
+    const float v = s.base + s.contrast * texture_value(ct[i], cb[i], cfy,
+                                                        ft[i], fb[i], ffy);
+    // Darken a thin border so the object silhouette has strong edges. The
+    // darkening 45 * (2 - edge) / 2 is positive exactly when edge < 2
+    // (edge >= 0 inside the box), so the min is the darkened value inside
+    // the border and v elsewhere: the branch without a branch.
+    const float edge = std::min(std::min(lx, s.ly),
+                                std::min(s.width - lx, s.height - s.ly));
+    out[i] = to_pixel(std::min(v, v - 45.0f * (2.0f - edge) / 2.0f));
+  }
+}
+
+inline void noise_row(std::uint64_t seed, std::int64_t a0, std::int64_t b,
+                      int n, float amp, std::uint8_t* dst) {
+  // The hash stays scalar; staged in blocks, it leaves the add, clamp and
+  // narrowing a plain loop the compiler vectorizes.
+  constexpr int kBlock = 64;
+  float u[kBlock];
+  for (int k0 = 0; k0 < n; k0 += kBlock) {
+    const int m = std::min(kBlock, n - k0);
+    hash_unit_row(seed, a0 + k0, b, m, u);
+    std::uint8_t* __restrict out = dst + k0;
+    for (int k = 0; k < m; ++k) {
+      out[k] = to_pixel(static_cast<float>(out[k]) + amp * (u[k] - 0.5f));
+    }
+  }
 }
 
 }  // namespace adavp::vision::simd::ref

@@ -10,6 +10,7 @@ const SimdOps* scalar_ops() {
       Isa::kScalar,        ref::filter_row,  ref::filter_col,
       ref::sobel_row,      ref::downsample_row, ref::min_eig_row,
       ref::lk_sample_window, ref::lk_sample_patch, ref::hash_unit_row,
+      ref::background_row, ref::object_row,   ref::noise_row,
   };
   return &ops;
 }

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -381,6 +382,141 @@ TEST(SimdHash, HashUnitRowMatchesScalar) {
             }
             EXPECT_EQ(mismatches, 0);
             EXPECT_EQ(out.back(), kGuard) << "wrote past n";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The camera's pixel rows: every tier against the scalar reference, byte
+// for byte, at widths around the 8-lane vector and the 720p row, with a
+// guard byte past n. Shaded values reach below 0 and above 255, past 2^31
+// too (where an unclamped cvttps would wrap), and the inputs include NaN
+// and infinities, so the operand order of every min and max that decides
+// a pixel is observable. Object rows cover border pixels on all four
+// sides; noise rows use seeds, columns and rows near +-2^40.
+TEST(SimdRender, RowKernelsMatchReference) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr std::int64_t k40 = std::int64_t{1} << 40;
+  constexpr std::uint8_t kGuard = 0xA5;
+  const int widths[] = {0, 1, 7, 8, 9, 383, 384, 1280, 1283};
+  constexpr int kMaxWidth = 1283;
+  std::uint64_t rng = 0xC0FFEEULL;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng ^ (rng >> 29);
+  };
+  auto uniform = [&next](float lo, float hi) {
+    return lo + (hi - lo) * static_cast<float>(next() >> 40) * 0x1.0p-24f;
+  };
+
+  // Texture inputs mostly in [-7, 8], so 120 + 45 * tex spans about
+  // [-300, 560]; every 17th column takes a special value.
+  const float specials[] = {1e30f, -1e30f, kInf, -kInf, kNaN, 3e9f, -0.0f};
+  std::vector<float> lattice[4];
+  for (int r = 0; r < 4; ++r) {
+    for (int i = 0; i < kMaxWidth; ++i) {
+      lattice[r].push_back(i % 17 == 5 ? specials[(i / 17 + r) % 7]
+                                       : uniform(-7.0f, 8.0f));
+    }
+  }
+  const simd::TextureRow tex{lattice[0].data(), lattice[1].data(), 0.37f,
+                             lattice[2].data(), lattice[3].data(), 0.81f};
+
+  std::vector<std::uint8_t> canvas(kMaxWidth);
+  for (auto& px : canvas) px = static_cast<std::uint8_t>(next() >> 56);
+  canvas[0] = 0;
+  canvas[1] = 255;
+
+  std::vector<std::uint8_t> want;
+  std::vector<std::uint8_t> got;
+  // Both rows start as `canvas` (the noise adds to it) plus a guard byte.
+  auto reset = [&](int n) {
+    want.assign(canvas.begin(), canvas.begin() + n);
+    want.push_back(kGuard);
+    got = want;
+  };
+  auto expect_same = [&](int n) {
+    int mismatches = 0;
+    for (int i = 0; i < n; ++i) {
+      if (got[static_cast<std::size_t>(i)] != want[static_cast<std::size_t>(i)] &&
+          ++mismatches <= 3) {
+        ADD_FAILURE() << "pixel " << i << ": got " << int{got[i]} << " want "
+                      << int{want[i]};
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(got[static_cast<std::size_t>(n)], kGuard) << "wrote past n";
+  };
+
+  const simd::Isa tiers[] = {simd::Isa::kScalar, simd::Isa::kSse2,
+                             simd::Isa::kAvx2};
+  for (const simd::Isa isa : tiers) {
+    if (!tier_available(isa)) {
+      std::cout << "[ NOTICE  ] tier " << simd::isa_name(isa)
+                << " unavailable on this host/build; skipping\n";
+      continue;
+    }
+    const simd::SimdOps& ops = simd::ops_for_isa(isa);
+    for (const int n : widths) {
+      {
+        SCOPED_TRACE(std::string(simd::isa_name(isa)) + " background n " +
+                     std::to_string(n));
+        reset(n);
+        simd::ref::background_row(tex, n, want.data());
+        ops.background_row(tex, n, got.data());
+        expect_same(n);
+      }
+
+      // A run starting 0.3 px inside the box's left edge and ending 0.2 px
+      // short of its right edge, on rows along the top edge, inside, and
+      // along the bottom edge; then non-finite geometry.
+      simd::ObjectRowShade shade{};
+      shade.x0 = 200;
+      shade.left = 199.7f;
+      shade.width = static_cast<float>(n) + 0.1f;
+      shade.height = 30.0f;
+      shade.base = 130.0f;
+      shade.contrast = 40.0f;
+      std::vector<simd::ObjectRowShade> shades;
+      for (const float ly : {0.0f, 1.3f, 12.0f, 28.9f, 29.99f, kNaN}) {
+        shade.ly = ly;
+        shades.push_back(shade);
+      }
+      shade.ly = 1.0f;
+      for (const float left : {kNaN, -kInf}) {
+        simd::ObjectRowShade odd = shade;
+        odd.left = left;
+        shades.push_back(odd);
+      }
+      shade.width = kNaN;
+      shades.push_back(shade);
+      for (std::size_t k = 0; k < shades.size(); ++k) {
+        SCOPED_TRACE(std::string(simd::isa_name(isa)) + " object n " +
+                     std::to_string(n) + " case " + std::to_string(k));
+        reset(n);
+        simd::ref::object_row(tex, shades[k], n, want.data());
+        ops.object_row(tex, shades[k], n, got.data());
+        expect_same(n);
+      }
+
+      for (int trial = 0; trial < 2; ++trial) {
+        const std::uint64_t seed = next();
+        for (const std::int64_t a0 : {std::int64_t{0}, std::int64_t{-3}, k40 - 5}) {
+          for (const std::int64_t b : {std::int64_t{0}, std::int64_t{719},
+                                       k40 - 1, k40 + 3, -k40, -k40 + 2}) {
+            for (const float amp : {0.0f, 5.1f, 600.0f, 1e12f, kNaN}) {
+              SCOPED_TRACE(std::string(simd::isa_name(isa)) + " noise n " +
+                           std::to_string(n) + " seed " + std::to_string(seed) +
+                           " a0 " + std::to_string(a0) + " b " +
+                           std::to_string(b) + " amp " + std::to_string(amp));
+              reset(n);
+              simd::ref::noise_row(seed, a0, b, n, amp, want.data());
+              ops.noise_row(seed, a0, b, n, amp, got.data());
+              expect_same(n);
+            }
           }
         }
       }

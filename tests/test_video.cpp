@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "video/camera.h"
@@ -12,6 +15,8 @@
 #include "video/profiles.h"
 #include "video/scene.h"
 #include "vision/image_ops.h"
+#include "vision/kernel_config.h"
+#include "vision/simd/dispatch.h"
 
 namespace adavp::video {
 namespace {
@@ -182,6 +187,13 @@ TEST(SyntheticVideoTest, RowParallelRenderBitIdenticalToSerial) {
     video.render_into(f, threaded, /*num_threads=*/4);
     EXPECT_EQ(serial.pixels(), threaded.pixels()) << "frame " << f;
     EXPECT_EQ(serial.pixels(), video.render(f).pixels()) << "frame " << f;
+    vision::ImageU8 passes(serial.width(), serial.height());
+    for (const auto pass : {SyntheticVideo::RenderPass::kBackground,
+                            SyntheticVideo::RenderPass::kObjects,
+                            SyntheticVideo::RenderPass::kSensorNoise}) {
+      video.render_pass(f, pass, passes);
+    }
+    EXPECT_EQ(serial.pixels(), passes.pixels()) << "frame " << f;
   }
 }
 
@@ -206,13 +218,11 @@ class PixelDigest {
   std::uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
-/// A library scenario at 1280x720, scaled as bench_e2e scales it: object
-/// sizes and speeds grow with the frame width.
-// Pins the rendered pixels themselves; the engine goldens see them only
-// through the tracker. The constant was captured from the per-pixel
-// value-noise renderer, so any renderer rewrite must stay bit-identical.
-TEST(SyntheticVideoTest, RenderedPixelsMatchGoldenDigest) {
-  constexpr std::uint64_t kGoldenPixels = 0x5401CD8E93FBCBEAULL;
+/// The digest of the golden render set, rendered on whatever tier the
+/// dispatcher resolves: all 14 scenarios at 384x216 and 1280x720 (scaled
+/// as bench_e2e scales them), negative pans with edge-straddling objects,
+/// and a row-sliced render.
+std::uint64_t golden_render_digest() {
   PixelDigest digest;
   const auto& library = scenario_library();
   for (std::size_t i = 0; i < library.size(); ++i) {
@@ -260,9 +270,40 @@ TEST(SyntheticVideoTest, RenderedPixelsMatchGoldenDigest) {
   vision::ImageU8 sliced;
   video.render_into(9, sliced, /*num_threads=*/4);
   digest.add(sliced);
+  return digest.value();
+}
 
-  EXPECT_EQ(digest.value(), kGoldenPixels)
-      << "digest 0x" << std::hex << digest.value();
+// Pins the rendered pixels themselves; the engine goldens see them only
+// through the tracker. The constant was captured from the per-pixel
+// value-noise renderer, so any renderer rewrite must stay bit-identical.
+// Every tier this host and build run is forced in turn through
+// ADAVP_FORCE_ISA, the way the camera resolves its kernels; the variable
+// is restored afterwards.
+TEST(SyntheticVideoTest, RenderedPixelsMatchGoldenDigest) {
+  constexpr std::uint64_t kGoldenPixels = 0x5401CD8E93FBCBEAULL;
+  const char* env = std::getenv("ADAVP_FORCE_ISA");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  int tiers_run = 0;
+  for (const vision::simd::Isa isa :
+       {vision::simd::Isa::kScalar, vision::simd::Isa::kSse2,
+        vision::simd::Isa::kAvx2}) {
+    if (vision::simd::ops_for_isa(isa).isa != isa) continue;  // not here
+    EXPECT_EQ(setenv("ADAVP_FORCE_ISA", vision::simd::isa_name(isa), 1), 0);
+    vision::simd::refresh_env_for_testing();
+    EXPECT_EQ(vision::simd::resolve_isa(vision::KernelConfig{}), isa);
+    const std::uint64_t digest = golden_render_digest();
+    EXPECT_EQ(digest, kGoldenPixels)
+        << vision::simd::isa_name(isa) << ": digest 0x" << std::hex << digest;
+    ++tiers_run;
+  }
+  if (saved) {
+    EXPECT_EQ(setenv("ADAVP_FORCE_ISA", saved->c_str(), 1), 0);
+  } else {
+    EXPECT_EQ(unsetenv("ADAVP_FORCE_ISA"), 0);
+  }
+  vision::simd::refresh_env_for_testing();
+  EXPECT_GE(tiers_run, 1);
 }
 
 TEST(SyntheticVideoTest, TimestampsFollowFps) {
