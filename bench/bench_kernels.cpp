@@ -9,10 +9,13 @@
 //    the serial path (the historical sweep).
 //  * The synthetic camera — its hash row (1280 values) and one serial
 //    render of a 1280x720 scene like bench_e2e's adavp-720p, whole and per
-//    pass (background, objects, sensor noise), on every tier.
+//    pass (background, objects, sensor noise), on every tier; and renders
+//    at 384x216, 640x360 and 1280x720 with the row split forced off and
+//    on, against render_into's own choice (the split's sizing data).
 //
 // Every row is timed after one warm-up call and reports the minimum and
-// the median over the reps.
+// the median over the reps (the render sweep: over 10x the reps, its three
+// modes timed in turn).
 //
 // Writes BENCH_KERNELS.json so successive PRs have a perf trajectory to
 // compare against.
@@ -27,6 +30,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -68,20 +72,35 @@ struct Timing {
   double median_ns;
 };
 
+/// Wall time of each of `fns` over `reps` rounds, in nanoseconds. Each
+/// gets one warm-up call first; a round then calls each once, in an order
+/// that rotates from round to round, so the host's drift hits them alike.
+std::vector<Timing> time_interleaved_ns(
+    int reps, const std::vector<std::function<void()>>& fns) {
+  for (const auto& fn : fns) fn();  // warm-up: pool startup, arena growth, page faults
+  std::vector<std::vector<double>> samples(fns.size());
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t k = 0; k < fns.size(); ++k) {
+      const std::size_t i = (static_cast<std::size_t>(r) + k) % fns.size();
+      const auto t0 = std::chrono::steady_clock::now();
+      fns[i]();
+      const auto t1 = std::chrono::steady_clock::now();
+      samples[i].push_back(static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
+    }
+  }
+  std::vector<Timing> out;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    out.push_back({s.front(), s[s.size() / 2]});
+  }
+  return out;
+}
+
 /// Wall time of `fn` over `reps` calls after one warm-up call, in
 /// nanoseconds.
 Timing time_ns(int reps, const std::function<void()>& fn) {
-  fn();  // warm-up: pool startup, arena growth, page faults
-  std::vector<double> samples;
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
-  }
-  std::sort(samples.begin(), samples.end());
-  return {samples.front(), samples[samples.size() / 2]};
+  return time_interleaved_ns(reps, {fn}).front();
 }
 
 struct Row {
@@ -92,13 +111,44 @@ struct Row {
   double speedup;  ///< vs scalar (ISA sweep) or vs serial (thread sweep)
 };
 
-/// A racetrack scene at 1280x720, like bench_e2e's adavp-720p scenes.
-video::SceneConfig racetrack_720p() {
+/// The racetrack scene at `width` x `height`, its motion and object sizes
+/// scaled from 384 columns as video::scaled_to_720p scales them; at
+/// 1280x720 it is like bench_e2e's adavp-720p scenes.
+video::SceneConfig racetrack(int width, int height) {
   const auto& library = video::scenario_library();
   const auto it = std::find_if(library.begin(), library.end(), [](const auto& s) {
     return s.name == "mobile_racetrack";
   });
-  return video::scaled_to_720p(video::make_scene(*it, 2022, 30, 1.6));
+  video::SceneConfig cfg = video::make_scene(*it, 2022, 30, 1.6);
+  const double scale = static_cast<double>(width) / cfg.width;
+  cfg.width = width;
+  cfg.height = height;
+  for (double* v : {&cfg.speed_mean, &cfg.speed_jitter, &cfg.camera_pan,
+                    &cfg.min_obj_size, &cfg.max_obj_size}) {
+    *v *= scale;
+  }
+  return cfg;
+}
+
+/// Renders frame `f` into `img` (sized to the frame) pass by pass over
+/// row chunks, the chunks split on the shared pool (`split`; grain 1, so
+/// the pool's most chunks) or run serially: render_into's two ways,
+/// forced.
+void render_rows(const video::SyntheticVideo& video, int f,
+                 vision::ImageU8& img, bool split) {
+  using Pass = video::SyntheticVideo::RenderPass;
+  const auto rows = [&](std::int64_t begin, std::int64_t end) {
+    for (const Pass pass : {Pass::kBackground, Pass::kObjects, Pass::kSensorNoise}) {
+      video.render_pass(f, pass, img, static_cast<int>(begin),
+                        static_cast<int>(end));
+    }
+  };
+  if (split) {
+    util::ThreadPool::shared().parallel_for(0, img.height(), /*grain=*/1,
+                                            /*max_parallelism=*/0, rows);
+  } else {
+    rows(0, img.height());
+  }
 }
 
 }  // namespace
@@ -285,8 +335,9 @@ int main(int argc, char** argv) {
         {"render_background", Pass::kBackground},
         {"render_objects", Pass::kObjects},
         {"render_noise", Pass::kSensorNoise}};
-    const video::SyntheticVideo video(racetrack_720p());
+    const video::SyntheticVideo video(racetrack(1280, 720));
     vision::ImageU8 img(video.frame_size().width, video.frame_size().height);
+    const int h = img.height();
     const auto add_row = [&](const std::string& name, vision::simd::Isa isa,
                              const std::function<void()>& fn) {
       const Timing t = time_ns(reps, fn);
@@ -299,11 +350,52 @@ int main(int argc, char** argv) {
     for (const vision::simd::Isa isa : tiers) {
       // The three passes in order render the frame as render_into does.
       add_row("render_720p", isa, [&] {
-        for (const auto& [name, pass] : passes) video.render_pass(15, pass, img, isa);
+        for (const auto& [name, pass] : passes) video.render_pass(15, pass, img, 0, h, isa);
       });
       for (const auto& [name, pass] : passes) {
-        add_row(name, isa, [&] { video.render_pass(15, pass, img, isa); });
+        add_row(name, isa, [&] { video.render_pass(15, pass, img, 0, h, isa); });
       }
+    }
+  }
+
+  // ---- Render thread sweep: the split forced off and on, and render_into
+  // at three frame sizes, timed in turn. render_into's row shows the
+  // threads its size rule chose: the pool's count when it opened a
+  // parallel region.
+  {
+    const int sweep_reps = 10 * reps;
+    util::ThreadPool& pool = util::ThreadPool::shared();
+    // The host's scheduler can keep a new pool's workers on the caller's
+    // core for about the first second of wake-ups, and split renders then
+    // run no faster than serial ones (docs/PERFORMANCE.md). Split renders
+    // for two seconds first, so the sweep times the steady state.
+    if (!smoke) {
+      const video::SyntheticVideo video(racetrack(1280, 720));
+      vision::ImageU8 img(1280, 720);
+      const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      for (int f = 0; std::chrono::steady_clock::now() < until; f = (f + 1) % 30) {
+        render_rows(video, f, img, /*split=*/true);
+      }
+    }
+    for (const auto& [w, h] : {std::pair{384, 216}, {640, 360}, {1280, 720}}) {
+      const video::SyntheticVideo video(racetrack(w, h));
+      vision::ImageU8 img(w, h);
+      const std::string size = std::to_string(w) + "x" + std::to_string(h);
+      const std::uint64_t regions = pool.stats().parallel_regions;
+      const std::vector<Timing> t = time_interleaved_ns(
+          sweep_reps, {[&] { render_rows(video, 15, img, /*split=*/false); },
+                       [&] { render_rows(video, 15, img, /*split=*/true); },
+                       [&] { video.render_into(15, img); }});
+      // The forced split opens one region per round and one in its
+      // warm-up; any more came from render_into.
+      const bool rule_split = pool.stats().parallel_regions - regions >
+                              static_cast<std::uint64_t>(sweep_reps) + 1;
+      const int pool_threads = pool.worker_count() + 1;
+      rows.push_back({"render_" + size, "auto", 1, t[0], 1.0});
+      rows.push_back({"render_" + size, "auto", pool_threads, t[1],
+                      t[0].min_ns / t[1].min_ns});
+      rows.push_back({"render_into_" + size, "auto", rule_split ? pool_threads : 1,
+                      t[2], t[0].min_ns / t[2].min_ns});
     }
   }
 

@@ -57,8 +57,18 @@ bool ThreadPool::on_worker_thread() const { return t_worker_pool == this; }
 void ThreadPool::enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-    peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
+    if (queue_size_ == queue_.size()) {
+      std::vector<std::function<void()>> grown(
+          std::max<std::size_t>(8, 2 * queue_size_));
+      for (std::size_t i = 0; i < queue_size_; ++i) {
+        grown[i] = std::move(queue_[(queue_head_ + i) % queue_.size()]);
+      }
+      queue_ = std::move(grown);
+      queue_head_ = 0;
+    }
+    queue_[(queue_head_ + queue_size_) % queue_.size()] = std::move(task);
+    ++queue_size_;
+    peak_queue_depth_ = std::max(peak_queue_depth_, queue_size_);
   }
   cv_.notify_one();
 }
@@ -70,10 +80,13 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      cv_.wait(lock, [this] { return stopping_ || queue_size_ > 0; });
+      if (queue_size_ == 0) return;  // stopping_ and drained
+      task = std::move(queue_[queue_head_]);
+      // A moved-from std::function may still hold its captures.
+      queue_[queue_head_] = nullptr;
+      queue_head_ = (queue_head_ + 1) % queue_.size();
+      --queue_size_;
     }
     task();
   }
@@ -178,7 +191,7 @@ ThreadPool::Stats ThreadPool::stats() const {
   s.chunks_executed = chunks_executed_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    s.queue_depth = queue_.size();
+    s.queue_depth = queue_size_;
     s.peak_queue_depth = peak_queue_depth_;
   }
   return s;

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -103,7 +102,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  // A ring of `queue_size_` tasks from `queue_head_` over `queue_`'s slots.
+  // It grows only when full, so steady-state enqueues do not allocate.
+  std::vector<std::function<void()>> queue_;  // guarded by mutex_
+  std::size_t queue_head_ = 0;                // guarded by mutex_
+  std::size_t queue_size_ = 0;                // guarded by mutex_
   bool stopping_ = false;
 
   std::size_t peak_queue_depth_ = 0;  // guarded by mutex_

@@ -140,7 +140,7 @@ std::shared_ptr<const vision::ImageU8> FrameStore::acquire_image(int index) {
         pool_.acquire(video_.frame_size().width, video_.frame_size().height);
     {
       obs::ScopedSpan span("render_frame", "video", index);
-      video_.render_into(index, *buf, options_.render_threads);
+      video_.render_into(index, *buf);
     }
 
     lock.lock();

@@ -38,7 +38,9 @@ struct FrameRef {
 
 /// Tuning knobs of a FrameStore. The defaults bound resident memory to a
 /// few seconds of video while keeping every frame a pipeline revisits
-/// (reference frames, catch-up batches) resident.
+/// (reference frames, catch-up batches) resident. How many threads one
+/// render uses is not a knob: `SyntheticVideo::render_into` splits a
+/// frame's rows on the shared pool when the frame is large enough to gain.
 struct FrameStoreOptions {
   /// Frames the store itself keeps alive behind the newest requested index.
   /// Older slots are released (outstanding FrameRefs keep their pixels
@@ -50,9 +52,6 @@ struct FrameStoreOptions {
   /// Upper bound on recycled pixel buffers parked in the FramePool. 0
   /// disables recycling (every render heap-allocates).
   std::size_t pool_buffers = 144;
-  /// Row-parallelism of one on-demand rasterization (1 = serial, 0 = all
-  /// hardware threads). Any value is bit-identical to serial.
-  int render_threads = 1;
 };
 
 /// Counters a FrameStore accumulates over its lifetime. Available without

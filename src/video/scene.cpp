@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "util/scratch_arena.h"
@@ -26,6 +28,15 @@ float smoothstep(float t) { return t * t * (3.0f - 2.0f * t); }
 constexpr float kCoarseCell = 9.0f;
 constexpr float kFineCell = 3.5f;
 constexpr std::uint64_t kFineSeedMix = 0xABCDEF1234567890ULL;
+
+// The fewest pixels render_into hands to one thread of the shared pool, so
+// the row grain is ceil(kMinPixelsPerChunk / width) and a frame of no more
+// rows than one grain renders serially. Measured on 4 cores, split renders
+// ran about 1.9x faster than serial at 384x216 (3 chunks) and 2.8x at
+// 1280x720; at 384x216 smaller chunks gained less and chunks of 96 Ki
+// pixels or more leave it serial (docs/PERFORMANCE.md, "Splitting a
+// render across the pool").
+constexpr std::int64_t kMinPixelsPerChunk = 32 * 1024;
 
 /// One octave of smooth value noise in [0,1] over a run of `n` columns.
 ///
@@ -367,26 +378,30 @@ vision::ImageU8 SyntheticVideo::render(int index) const {
   return rasterize(index);
 }
 
-void SyntheticVideo::render_into(int index, vision::ImageU8& out,
-                                 int num_threads) const {
+void SyntheticVideo::render_into(int index, vision::ImageU8& out) const {
   if (!cache_.empty()) {
     out = cache_.at(static_cast<std::size_t>(index));
     return;
   }
   out.reset(config_.width, config_.height);
-  if (num_threads == 1) {
+  // Row-parallel in chunks of at least kMinPixelsPerChunk pixels: every
+  // pass is a pure function of (x, y), so slicing the row range is
+  // bit-identical to the serial loop. A frame too small for two chunks
+  // renders here, without starting the pool.
+  const std::int64_t width = std::max(config_.width, 1);
+  const std::int64_t grain = (kMinPixelsPerChunk + width - 1) / width;
+  if (config_.height <= grain) {
     rasterize_rows(index, out, 0, config_.height);
     return;
   }
-  // Row-parallel: every pass is a pure function of (x, y), so slicing the
-  // row range is bit-identical to the serial loop. Grain keeps tiny frames
-  // from paying enqueue costs.
+  const auto rows = [this, index, &out](std::int64_t row_begin,
+                                        std::int64_t row_end) {
+    rasterize_rows(index, out, static_cast<int>(row_begin),
+                   static_cast<int>(row_end));
+  };
+  // By reference: std::function then holds the body without allocating.
   util::ThreadPool::shared().parallel_for(
-      0, config_.height, /*grain=*/32, num_threads,
-      [&](std::int64_t row_begin, std::int64_t row_end) {
-        rasterize_rows(index, out, static_cast<int>(row_begin),
-                       static_cast<int>(row_end));
-      });
+      0, config_.height, grain, /*max_parallelism=*/0, std::cref(rows));
 }
 
 void SyntheticVideo::precache(int num_threads) {
@@ -412,12 +427,17 @@ vision::ImageU8 SyntheticVideo::rasterize(int index) const {
 }
 
 void SyntheticVideo::render_pass(int index, RenderPass pass,
-                                 vision::ImageU8& img,
-                                 vision::simd::Isa isa) const {
+                                 vision::ImageU8& img, int row_begin,
+                                 int row_end, vision::simd::Isa isa) const {
+  if (img.width() != config_.width || img.height() != config_.height) {
+    throw std::invalid_argument("render_pass: image not sized to the frame");
+  }
+  if (row_begin < 0 || row_begin > row_end || row_end > config_.height) {
+    throw std::invalid_argument("render_pass: rows outside the frame");
+  }
   vision::KernelConfig kernels;
   kernels.isa = isa;
-  img.reset(config_.width, config_.height);
-  rasterize_pass(index, pass, img, 0, config_.height,
+  rasterize_pass(index, pass, img, row_begin, row_end,
                  vision::simd::ops_for(kernels));
 }
 

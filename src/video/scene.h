@@ -94,22 +94,26 @@ class SyntheticVideo {
 
   /// Renders frame `index` into `out`, reusing `out`'s pixel storage when
   /// its capacity suffices (the FrameStore/FramePool zero-allocation path).
-  /// `num_threads` row-parallelizes the rasterization on the shared
-  /// util::ThreadPool (0 = all hardware threads, 1 = serial); every thread
-  /// count is bit-identical — all three passes (background, objects,
-  /// sensor noise) are pure per-pixel functions.
-  void render_into(int index, vision::ImageU8& out, int num_threads = 1) const;
+  /// A frame large enough to gain (384x216 and up) has its rows split on
+  /// the shared util::ThreadPool; a smaller one, or a call from inside a
+  /// pool task, renders serially. Any split is bit-identical to `render`:
+  /// all three passes (background, objects, sensor noise) are pure
+  /// per-pixel functions.
+  void render_into(int index, vision::ImageU8& out) const;
 
   /// The passes a render runs over every row, in this order.
   enum class RenderPass { kBackground, kObjects, kSensorNoise };
 
-  /// Runs one pass of frame `index` over all of `img`, serially and on
-  /// kernel tier `isa` (kAuto: the tier `render_into` resolves). `img` is
-  /// sized to the frame, keeping its pixels when it already is, so the
-  /// three passes in order on one image render the frame exactly as
-  /// `render_into` does; bench_kernels times each pass on each tier
-  /// through it.
+  /// Runs one pass of frame `index` over the rows [row_begin, row_end) of
+  /// `img`, serially and on kernel tier `isa` (kAuto: the tier
+  /// `render_into` resolves). `img` must be sized to the frame; its other
+  /// rows are left as they are. So the three passes in order over every
+  /// row render the frame exactly as `render_into` does, however the rows
+  /// are split; bench_kernels times each pass on each tier, and split
+  /// against serial renders, through it. Throws std::invalid_argument on
+  /// a mis-sized image or a row range outside the frame.
   void render_pass(int index, RenderPass pass, vision::ImageU8& img,
+                   int row_begin, int row_end,
                    vision::simd::Isa isa = vision::simd::Isa::kAuto) const;
 
   /// Pre-renders every frame into an in-memory cache so subsequent

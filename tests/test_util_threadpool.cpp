@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -120,6 +121,31 @@ TEST(ThreadPool, StatsCountRegionsAndChunks) {
   EXPECT_GE(s.parallel_regions, 1u);
   EXPECT_GE(s.chunks_executed, 2u);
   EXPECT_EQ(s.queue_depth, 0u);  // drained
+}
+
+// The queue is a ring that grows only when full. Tasks queued behind a
+// busy worker run once each and in order, across wrap-arounds of the ring
+// (the second batch) and growth while it is wrapped (the third).
+TEST(ThreadPool, QueuedTasksRunInOrderAcrossRingGrowth) {
+  ThreadPool pool(1);
+  std::vector<int> order;  // appended to by the one worker only
+  for (const int batch : {100, 100, 200}) {
+    std::promise<void> gate;
+    pool.submit([open = gate.get_future().share()] { open.wait(); });
+    std::vector<std::future<void>> done;
+    for (int i = 0; i < batch; ++i) {
+      done.push_back(pool.submit([&order, i] { order.push_back(i); }));
+    }
+    gate.set_value();
+    for (std::future<void>& f : done) f.get();
+    std::vector<int> expected(static_cast<std::size_t>(batch));
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected) << "batch of " << batch;
+    order.clear();
+  }
+  const ThreadPool::Stats s = pool.stats();
+  EXPECT_GE(s.peak_queue_depth, 200u);
+  EXPECT_EQ(s.queue_depth, 0u);
 }
 
 TEST(ThreadPool, SharedPoolIsLazyThenSticky) {

@@ -3,11 +3,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
+#include "util/thread_pool.h"
 #include "video/camera.h"
 #include "video/frame_buffer.h"
 #include "video/frame_store.h"
@@ -178,22 +181,60 @@ TEST(SyntheticVideoTest, ParallelPrecacheBitIdenticalToSerial) {
   }
 }
 
+// A default 720p render_into splits its rows on the shared pool, and one
+// called from inside a pool task is a nested call and renders serially.
+// Both must equal the serial render byte for byte, and so must the three
+// passes run one uneven row range at a time.
 TEST(SyntheticVideoTest, RowParallelRenderBitIdenticalToSerial) {
-  SyntheticVideo video(small_config(41, 4));
+  SyntheticVideo video(scaled_to_720p(small_config(41, 4)));
+  util::ThreadPool& pool = util::ThreadPool::shared();
   for (int f = 0; f < 4; ++f) {
-    vision::ImageU8 serial;
-    video.render_into(f, serial, /*num_threads=*/1);
-    vision::ImageU8 threaded;
-    video.render_into(f, threaded, /*num_threads=*/4);
-    EXPECT_EQ(serial.pixels(), threaded.pixels()) << "frame " << f;
-    EXPECT_EQ(serial.pixels(), video.render(f).pixels()) << "frame " << f;
+    const vision::ImageU8 serial = video.render(f);
+    vision::ImageU8 split;
+    video.render_into(f, split);
+    EXPECT_EQ(serial.pixels(), split.pixels()) << "frame " << f;
+    vision::ImageU8 nested;
+    const std::uint64_t regions = pool.stats().parallel_regions;
+    pool.submit([&] {
+          EXPECT_EQ(pool.on_worker_thread(), pool.worker_count() > 0);
+          video.render_into(f, nested);
+        }).get();
+    EXPECT_EQ(pool.stats().parallel_regions, regions) << "frame " << f;
+    EXPECT_EQ(serial.pixels(), nested.pixels()) << "frame " << f;
     vision::ImageU8 passes(serial.width(), serial.height());
-    for (const auto pass : {SyntheticVideo::RenderPass::kBackground,
-                            SyntheticVideo::RenderPass::kObjects,
-                            SyntheticVideo::RenderPass::kSensorNoise}) {
-      video.render_pass(f, pass, passes);
+    const int cuts[] = {0, 250, 251, serial.height()};
+    for (std::size_t i = 0; i + 1 < std::size(cuts); ++i) {
+      for (const auto pass : {SyntheticVideo::RenderPass::kBackground,
+                              SyntheticVideo::RenderPass::kObjects,
+                              SyntheticVideo::RenderPass::kSensorNoise}) {
+        video.render_pass(f, pass, passes, cuts[i], cuts[i + 1]);
+      }
     }
     EXPECT_EQ(serial.pixels(), passes.pixels()) << "frame " << f;
+  }
+  vision::ImageU8 unsized;
+  EXPECT_THROW(video.render_pass(0, SyntheticVideo::RenderPass::kBackground,
+                                 unsized, 0, 1),
+               std::invalid_argument);
+}
+
+// render_into splits only a frame large enough to gain: a 160x120 render
+// opens no parallel region on the shared pool, a 384x216 and a 1280x720
+// one each open one.
+TEST(SyntheticVideoTest, RenderSplitsOnlyLargeFrames) {
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  vision::ImageU8 img;
+  std::uint64_t regions = pool.stats().parallel_regions;
+  SyntheticVideo(small_config()).render_into(1, img);
+  EXPECT_EQ(pool.stats().parallel_regions, regions);
+  if (pool.worker_count() == 0) GTEST_SKIP() << "no pool workers to split on";
+  const SceneConfig base = make_scene(scenario_library()[0], 7, 2, 1.0);
+  ASSERT_EQ(base.width, 384);
+  ASSERT_EQ(base.height, 216);
+  for (const SceneConfig& cfg : {base, scaled_to_720p(base)}) {
+    SyntheticVideo(cfg).render_into(1, img);
+    EXPECT_EQ(pool.stats().parallel_regions, regions + 1) << cfg.width;
+    regions = pool.stats().parallel_regions;
   }
 }
 
@@ -268,7 +309,7 @@ std::uint64_t golden_render_digest() {
   // A row-sliced render: slices start mid lattice cell.
   SyntheticVideo video(scaled_to_720p(make_scene(library[13], 99, 10, 1.0)));
   vision::ImageU8 sliced;
-  video.render_into(9, sliced, /*num_threads=*/4);
+  video.render_into(9, sliced);
   digest.add(sliced);
   return digest.value();
 }
