@@ -69,36 +69,6 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // ---- A2. Tracker backend: good-features+LK vs FAST+BRIEF matching ------
-  {
-    util::Table table({"tracker backend", "accuracy"});
-    const struct {
-      core::TrackerBackend backend;
-      const char* name;
-    } backends[] = {
-        {core::TrackerBackend::kLucasKanade, "good-features + LK (paper)"},
-        {core::TrackerBackend::kDescriptor, "FAST + BRIEF matching"},
-    };
-    for (const auto& entry : backends) {
-      std::vector<std::vector<double>> f1_per_video;
-      for (const auto& cfg : configs) {
-        const video::SyntheticVideo video(cfg);
-        core::MpdtOptions options;
-        options.setting = detect::ModelSetting::kYolov3_512;
-        options.backend = entry.backend;
-        options.seed = config.seed;
-        const core::RunResult run = run_mpdt(video, options);
-        f1_per_video.push_back(score_run(run, video, 0.5));
-      }
-      table.add_row({entry.name,
-                     util::fmt(metrics::dataset_accuracy(f1_per_video, 0.7), 3)});
-    }
-    std::cout << "-- A2. Tracker backend (the paper evaluated both families,"
-                 " §IV-C) --\n";
-    table.print();
-    std::cout << "\n";
-  }
-
   // ---- A3. Single-point fast path and forward-backward validation --------
   {
     util::Table table({"tracker variant", "accuracy"});

@@ -14,8 +14,10 @@
 //    on, against render_into's own choice (the split's sizing data).
 //
 // Every row is timed after one warm-up call and reports the minimum and
-// the median over the reps (the render sweep: over 10x the reps, its three
-// modes timed in turn).
+// the median over the reps (the render sweep: over 10x the reps). The
+// rows one speedup compares are timed in turn, round by round: a kernel's
+// ISA tiers, its thread counts, the render sweep's three modes. Host load
+// then lands on both sides of a ratio alike.
 //
 // Writes BENCH_KERNELS.json so successive PRs have a perf trajectory to
 // compare against.
@@ -101,6 +103,17 @@ std::vector<Timing> time_interleaved_ns(
 /// nanoseconds.
 Timing time_ns(int reps, const std::function<void()>& fn) {
   return time_interleaved_ns(reps, {fn}).front();
+}
+
+/// `op` under each of `configs`, timed in turn (time_interleaved_ns).
+std::vector<Timing> time_configs(
+    int reps, const std::function<void(const vision::KernelConfig&)>& op,
+    const std::vector<vision::KernelConfig>& configs) {
+  std::vector<std::function<void()>> fns;
+  for (const vision::KernelConfig& cfg : configs) {
+    fns.push_back([&op, cfg] { op(cfg); });
+  }
+  return time_interleaved_ns(reps, fns);
 }
 
 struct Row {
@@ -288,43 +301,62 @@ int main(int argc, char** argv) {
                      /*thread_sweep=*/false});
 
   // ---- ISA sweep: every tier, one thread, speedup vs scalar -------------
+  // tiers[0] is the scalar reference: every build and CPU can run it.
+  std::vector<vision::KernelConfig> tier_configs;
+  for (const vision::simd::Isa isa : tiers) {
+    vision::KernelConfig cfg;
+    cfg.num_threads = 1;
+    cfg.isa = isa;
+    tier_configs.push_back(cfg);
+  }
   double scalar_pyramid_ns = 0.0;
   double scalar_lk_ns = 0.0;
   double avx2_pyramid_ns = 0.0;
   double avx2_lk_ns = 0.0;
   for (const Kernel& k : kernels) {
-    double scalar_ns = 0.0;
-    for (const vision::simd::Isa isa : tiers) {
-      vision::KernelConfig cfg;
-      cfg.num_threads = 1;
-      cfg.isa = isa;
-      const Timing t = time_ns(reps, [&] { k.op(cfg); });
-      const double ns = t.min_ns;
-      if (isa == vision::simd::Isa::kScalar) scalar_ns = ns;
-      rows.push_back({k.name, vision::simd::isa_name(isa), 1, t,
-                      scalar_ns > 0.0 ? scalar_ns / ns : 1.0});
+    const std::vector<Timing> t = time_configs(reps, k.op, tier_configs);
+    for (std::size_t i = 0; i < tiers.size(); ++i) {
+      rows.push_back({k.name, vision::simd::isa_name(tiers[i]), 1, t[i],
+                      t[0].min_ns / t[i].min_ns});
+      if (tiers[i] != vision::simd::Isa::kAvx2) continue;
       if (k.name == "pyramid_build") {
-        if (isa == vision::simd::Isa::kScalar) scalar_pyramid_ns = ns;
-        if (isa == vision::simd::Isa::kAvx2) avx2_pyramid_ns = ns;
+        scalar_pyramid_ns = t[0].min_ns;
+        avx2_pyramid_ns = t[i].min_ns;
       }
       if (k.name == "lk_flow") {
-        if (isa == vision::simd::Isa::kScalar) scalar_lk_ns = ns;
-        if (isa == vision::simd::Isa::kAvx2) avx2_lk_ns = ns;
+        scalar_lk_ns = t[0].min_ns;
+        avx2_lk_ns = t[i].min_ns;
       }
     }
   }
 
+  // The host's scheduler can keep a new pool's workers on the caller's
+  // core for about the first second of wake-ups, and split work then runs
+  // no faster than serial (docs/PERFORMANCE.md). Split renders for two
+  // seconds first, so the thread sweeps below time the steady state.
+  if (!smoke) {
+    const video::SyntheticVideo video(racetrack(1280, 720));
+    vision::ImageU8 img(1280, 720);
+    const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    for (int f = 0; std::chrono::steady_clock::now() < until; f = (f + 1) % 30) {
+      render_rows(video, f, img, /*split=*/true);
+    }
+  }
+
   // ---- Thread sweep: auto ISA, speedup vs serial ------------------------
+  // thread_counts[0] is 1, the serial path.
+  std::vector<vision::KernelConfig> thread_configs;
+  for (const int threads : thread_counts) {
+    vision::KernelConfig cfg;
+    cfg.num_threads = threads;
+    thread_configs.push_back(cfg);
+  }
   for (const Kernel& k : kernels) {
     if (!k.thread_sweep) continue;
-    double serial_ns = 0.0;
-    for (int threads : thread_counts) {
-      vision::KernelConfig cfg;
-      cfg.num_threads = threads;
-      const Timing t = time_ns(reps, [&] { k.op(cfg); });
-      if (threads == 1) serial_ns = t.min_ns;
-      rows.push_back({k.name, "auto", threads, t,
-                      serial_ns > 0.0 ? serial_ns / t.min_ns : 1.0});
+    const std::vector<Timing> t = time_configs(reps, k.op, thread_configs);
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+      rows.push_back({k.name, "auto", thread_counts[i], t[i],
+                      t[0].min_ns / t[i].min_ns});
     }
   }
 
@@ -365,18 +397,6 @@ int main(int argc, char** argv) {
   {
     const int sweep_reps = 10 * reps;
     util::ThreadPool& pool = util::ThreadPool::shared();
-    // The host's scheduler can keep a new pool's workers on the caller's
-    // core for about the first second of wake-ups, and split renders then
-    // run no faster than serial ones (docs/PERFORMANCE.md). Split renders
-    // for two seconds first, so the sweep times the steady state.
-    if (!smoke) {
-      const video::SyntheticVideo video(racetrack(1280, 720));
-      vision::ImageU8 img(1280, 720);
-      const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(2);
-      for (int f = 0; std::chrono::steady_clock::now() < until; f = (f + 1) % 30) {
-        render_rows(video, f, img, /*split=*/true);
-      }
-    }
     for (const auto& [w, h] : {std::pair{384, 216}, {640, 360}, {1280, 720}}) {
       const video::SyntheticVideo video(racetrack(w, h));
       vision::ImageU8 img(w, h);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-stop local gate: configure, build, run the test suite, and smoke the
-# end-to-end pipeline benchmark. Mirrors what CI runs.
+# fleet and kernel benchmarks against their gates. Mirrors what CI runs.
 #
 #   scripts/check.sh             # release preset
 #   scripts/check.sh tsan        # TSan build + `concurrency`-labeled tests
@@ -54,15 +54,9 @@ else
 fi
 
 if [ "$preset" = "release" ]; then
-  echo "==> bench_pipeline --smoke"
-  ./build/bench/bench_pipeline --smoke --out=build/BENCH_PIPELINE.smoke.json
-
-  # Regression gate: absolute invariants always; directional comparison
-  # against a previous report when BENCH_BASELINE points at one (the gate
-  # compares only scale-invariant metrics across smoke/full scales).
-  echo "==> bench_gate"
-  python3 scripts/bench_gate.py build/BENCH_PIPELINE.smoke.json \
-    ${BENCH_BASELINE:+--baseline "$BENCH_BASELINE"}
+  # Each bench_gate run checks absolute invariants always, and compares
+  # directionally against a previous report when its *_BASELINE variable
+  # points at one (only scale-invariant metrics across smoke/full scales).
 
   # Fleet consolidation gate (DESIGN.md §13): 8 streams through one shared
   # GPU must beat 8 sequential single-stream runs by >= 4x in pipeline time

@@ -5,7 +5,6 @@
 #include "core/run_result.h"
 #include "track/tracker.h"
 #include "util/fault_plan.h"
-#include "video/frame_store.h"
 #include "video/scene.h"
 
 namespace adavp::core {
@@ -30,8 +29,6 @@ struct MarlinOptions {
   double max_cycle_ms = 3000.0;
   std::uint64_t seed = 1234;
   track::TrackerParams tracker;
-  /// Zero-copy frame path tuning (see MpdtOptions::frame_store).
-  video::FrameStoreOptions frame_store;
   /// Non-null => deterministic fault injection (detector / camera /
   /// tracker channels; see EngineOptions::fault_plan). Must outlive the run.
   const util::FaultPlan* fault_plan = nullptr;

@@ -6,7 +6,6 @@
 
 #include "energy/power_model.h"
 #include "obs/telemetry.h"
-#include "track/descriptor_tracker.h"
 #include "video/frame_glitch.h"
 
 namespace adavp::core {
@@ -16,14 +15,6 @@ namespace {
 /// Decorrelates the tracker-latency stream from the detector's, which is
 /// seeded from the same run seed.
 constexpr std::uint64_t kTrackLatencySalt = 0xABCDULL;
-
-std::unique_ptr<track::TrackerInterface> make_tracker(
-    const EngineOptions& options) {
-  if (options.backend == TrackerBackend::kDescriptor) {
-    return std::make_unique<track::DescriptorTracker>();
-  }
-  return std::make_unique<track::ObjectTracker>(options.tracker);
-}
 
 util::FaultChannel plan_channel(const util::FaultPlan* plan,
                                 std::string_view name) {
@@ -45,7 +36,7 @@ EngineContext::EngineContext(const video::SyntheticVideo& video,
       latency(options.seed ^ kTrackLatencySalt),
       options_(std::move(options)),
       camera_faults_(plan_channel(options_.fault_plan, "camera")),
-      tracker_owner_(make_tracker(options_)),
+      tracker_owner_(std::make_unique<track::ObjectTracker>(options_.tracker)),
       faulty_tracker_(*tracker_owner_,
                       plan_channel(options_.fault_plan, "tracker")) {
   run.frames.resize(static_cast<std::size_t>(frame_count));
@@ -56,7 +47,7 @@ EngineContext::EngineContext(const video::SyntheticVideo& video,
 }
 
 video::FrameStore& EngineContext::store() {
-  if (!store_.has_value()) store_.emplace(video, options_.frame_store);
+  if (!store_.has_value()) store_.emplace(video);
   return *store_;
 }
 

@@ -30,20 +30,11 @@ enum class SelectionPolicy {
   kNewestOnly,        ///< track only the newest frame of each cycle
 };
 
-/// Which feature tracker implementation the pipeline runs (ablation knob;
-/// §IV-C: the paper evaluated several and chose good-features + LK).
-enum class TrackerBackend {
-  kLucasKanade,  ///< paper: good features to track + pyramidal LK
-  kDescriptor,   ///< FAST + BRIEF matching (ORB-style alternative)
-};
-
 /// The wiring every engine shares, factored out of its per-engine options
 /// struct. One seed drives the whole run.
 struct EngineOptions {
   std::uint64_t seed = 1234;
   track::TrackerParams tracker{};
-  TrackerBackend backend = TrackerBackend::kLucasKanade;
-  video::FrameStoreOptions frame_store{};
   /// Non-null => deterministic fault injection: the plan's "detector"
   /// channel wraps the detector, "camera" glitches/delays captured frames,
   /// "tracker" degrades the optical-flow path. Must outlive the run.
@@ -176,7 +167,7 @@ class EngineContext {
  private:
   EngineOptions options_;
   util::FaultChannel camera_faults_;
-  std::unique_ptr<track::TrackerInterface> tracker_owner_;
+  std::unique_ptr<track::ObjectTracker> tracker_owner_;
   track::FaultyTracker faulty_tracker_;
   std::optional<video::FrameStore> store_;
   std::optional<obs::SloTracker> slo_tracker_;

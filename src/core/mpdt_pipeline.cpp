@@ -9,8 +9,6 @@ RunResult run_mpdt(const video::SyntheticVideo& video, const MpdtOptions& option
   obs::ScopedSpan run_span("run_mpdt", "pipeline", video.frame_count(), "frames");
   EngineContext ctx(video, {.seed = options.seed,
                             .tracker = options.tracker,
-                            .backend = options.backend,
-                            .frame_store = options.frame_store,
                             .fault_plan = options.fault_plan,
                             .slo = options.slo});
   if (ctx.frame_count == 0) return std::move(ctx.run);

@@ -10,8 +10,8 @@
 
 namespace adavp::core {
 
-/// Options for an MPDT / AdaVP run. (SelectionPolicy and TrackerBackend
-/// live in core/engine_runtime.h with the rest of the shared runtime.)
+/// Options for an MPDT / AdaVP run. (SelectionPolicy lives in
+/// core/engine_runtime.h with the rest of the shared runtime.)
 struct MpdtOptions {
   /// Fixed model setting (MPDT baseline) and the initial setting for AdaVP.
   detect::ModelSetting setting = detect::ModelSetting::kYolov3_512;
@@ -21,14 +21,6 @@ struct MpdtOptions {
   std::uint64_t seed = 1234;
   track::TrackerParams tracker;
   SelectionPolicy selection = SelectionPolicy::kAdaptiveFraction;
-  TrackerBackend backend = TrackerBackend::kLucasKanade;
-  /// Zero-copy frame path tuning. The defaults render each frame at most
-  /// once and recycle buffers; `{.window = 0, .pool_buffers = 0}`
-  /// degenerates to the pre-store cost model (render per consumer, alloc
-  /// per render) — outputs are bit-identical either way, which
-  /// tests/test_frame_store.cpp pins as the FrameRef-conversion
-  /// equivalence check.
-  video::FrameStoreOptions frame_store;
   /// Non-null => deterministic fault injection across the detector, camera
   /// and tracker channels (see EngineOptions::fault_plan). The plan must
   /// outlive the run. The run's RunResult::status reports kDegraded when

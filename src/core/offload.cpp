@@ -202,7 +202,6 @@ RunResult run_offload(const video::SyntheticVideo& video,
                            "frames");
   EngineContext ctx(video, {.seed = options.seed,
                             .tracker = options.tracker,
-                            .frame_store = options.frame_store,
                             .fault_plan = options.fault_plan,
                             .slo = options.slo});
   if (ctx.frame_count == 0) return std::move(ctx.run);

@@ -5,7 +5,6 @@
 #include "core/run_result.h"
 #include "track/tracker.h"
 #include "util/fault_plan.h"
-#include "video/frame_store.h"
 #include "video/scene.h"
 
 namespace adavp::core {
@@ -25,8 +24,6 @@ struct OffloadOptions {
   double frame_bytes = 40000.0;     ///< compressed frame upload size
   std::uint64_t seed = 1234;
   track::TrackerParams tracker;
-  /// Zero-copy frame path tuning (see MpdtOptions::frame_store).
-  video::FrameStoreOptions frame_store;
   /// When > 0, every uploaded frame really goes through the intra-frame
   /// codec (vision::encode_frame) at this quality: the transmit model uses
   /// the actual compressed size instead of the flat `frame_bytes`, and the

@@ -163,7 +163,7 @@ RealtimeResult run_realtime(const video::SyntheticVideo& video,
   const RealtimeInstruments ins = RealtimeInstruments::resolve();
   obs::ScopedSpan run_span("run_realtime", "pipeline", frame_count, "frames");
 
-  video::FrameStore store(video, options.frame_store);
+  video::FrameStore store(video);
   video::FrameBuffer buffer;
   video::CameraSource camera(store, buffer, scale);
   util::ClosableQueue<DetectionEvent> events;

@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "track/tracker.h"
 #include "util/fault_plan.h"
-#include "video/frame_store.h"
 #include "video/scene.h"
 
 namespace adavp::core {
@@ -44,12 +43,6 @@ struct RealtimeOptions {
   /// Tracker tuning, including the vision-kernel parallelism
   /// (`tracker.kernels.num_threads`) used on the tracker thread.
   track::TrackerParams tracker;
-  /// Zero-copy frame path tuning: the camera publishes FrameRefs out of a
-  /// shared FrameStore, so a frame is rasterized at most once no matter
-  /// how many threads consume it. `{.window = 0, .pool_buffers = 0}`
-  /// reproduces the pre-store cost model (camera render + tracker
-  /// re-render, allocation per frame) for benchmarking.
-  video::FrameStoreOptions frame_store;
   /// Non-null => deterministic fault injection: the plan's "detector"
   /// channel wraps the detector (detect::FaultyDetector), its "camera"
   /// channel drives capture glitches, and its "tracker" channel degrades

@@ -50,8 +50,7 @@ struct RunResult {
   double timeline_ms = 0.0;   ///< total (virtual) duration of the run
   int setting_switches = 0;
   double latency_multiplier = 1.0;  ///< processing time / video duration
-  /// Frame-store counters of the run (renders, hits, pool traffic) — how
-  /// bench_pipeline measures per-frame render and allocation costs.
+  /// Frame-store counters of the run (renders, hits, pool traffic).
   /// Zero-valued for engines that never touch pixels (detect-only).
   video::FrameStoreStats frame_store;
   /// Outcome of the run: kOk for a clean run; kDegraded when a FaultPlan

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace adavp::obs {
@@ -59,7 +60,9 @@ std::optional<SloSpec> SloSpec::parse(const std::string& text,
     try {
       std::size_t consumed = 0;
       value = std::stod(pair.substr(eq + 1), &consumed);
-      if (consumed != pair.size() - eq - 1) throw std::invalid_argument(pair);
+      if (consumed != pair.size() - eq - 1 || !std::isfinite(value)) {
+        throw std::invalid_argument(pair);
+      }
     } catch (const std::exception&) {
       if (error != nullptr) *error = "bad number in '" + pair + "'";
       return std::nullopt;
@@ -78,10 +81,15 @@ std::optional<SloSpec> SloSpec::parse(const std::string& text,
       spec.min_fps_fraction = value;
     } else if (key == "window_ms") {
       spec.window_ms = value;
-    } else if (key == "breach_windows") {
-      spec.breach_windows = static_cast<int>(value);
-    } else if (key == "recover_windows") {
-      spec.recover_windows = static_cast<int>(value);
+    } else if (key == "breach_windows" || key == "recover_windows") {
+      // Range-checked before the cast: a double outside int's range makes
+      // static_cast<int> undefined.
+      if (value < 1.0 || value > std::numeric_limits<int>::max()) {
+        if (error != nullptr) *error = key + " must be in [1, INT_MAX]";
+        return std::nullopt;
+      }
+      (key == "breach_windows" ? spec.breach_windows : spec.recover_windows) =
+          static_cast<int>(value);
     } else {
       if (error != nullptr) *error = "unknown SLO key '" + key + "'";
       return std::nullopt;
@@ -91,8 +99,6 @@ std::optional<SloSpec> SloSpec::parse(const std::string& text,
     if (error != nullptr) *error = "fps and window_ms must be positive";
     return std::nullopt;
   }
-  spec.breach_windows = std::max(1, spec.breach_windows);
-  spec.recover_windows = std::max(1, spec.recover_windows);
   return spec;
 }
 

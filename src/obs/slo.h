@@ -34,15 +34,16 @@ struct SloSpec {
   /// Evaluation window width.
   double window_ms = 1000.0;
   /// Hysteresis: consecutive violated windows before a breach is entered,
-  /// and consecutive healthy windows before it recovers.
+  /// and consecutive healthy windows before it recovers. At least 1.
   int breach_windows = 2;
   int recover_windows = 2;
 
   /// The effective per-result deadline (`deadline_ms` or derived).
   double effective_deadline_ms() const;
 
-  /// Parses the `key=value ...` grammar. Unknown keys and malformed pairs
-  /// return std::nullopt (with a diagnostic in `*error` when non-null).
+  /// Parses the `key=value ...` grammar. Unknown keys, malformed pairs,
+  /// non-finite numbers and window counts outside [1, INT_MAX] return
+  /// std::nullopt (with a diagnostic in `*error` when non-null).
   static std::optional<SloSpec> parse(const std::string& text,
                                       std::string* error = nullptr);
 

@@ -11,11 +11,9 @@ namespace adavp::track {
 
 struct TrackStepStats;  // defined in tracker.h
 
-/// Common interface of the object-tracker backends. The paper evaluated
-/// several feature extractors/descriptors (SIFT, SURF, good features,
-/// FAST, ORB — §IV-C) before settling on good-features + Lucas-Kanade;
-/// this interface lets the pipeline swap backends so bench_ablations can
-/// reproduce that comparison.
+/// The object tracker as the pipelines drive it. ObjectTracker (good
+/// features + Lucas-Kanade, the paper's choice in §IV-C) is the one
+/// implementation; FaultyTracker decorates it through this interface.
 class TrackerInterface {
  public:
   virtual ~TrackerInterface() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 #include "util/rng.h"
 
@@ -110,10 +111,12 @@ double default_magnitude(FaultKind kind) {
   return 0.0;
 }
 
+/// A finite double spanning all of `s`: from_chars also reads "nan" and
+/// "inf", which no probability or magnitude may be.
 bool parse_double(std::string_view s, double* out) {
   const auto [ptr, ec] =
       std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
+  return ec == std::errc{} && ptr == s.data() + s.size() && std::isfinite(*out);
 }
 
 bool parse_int(std::string_view s, int* out) {

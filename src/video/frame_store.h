@@ -36,18 +36,18 @@ struct FrameRef {
   long use_count() const { return image_ptr.use_count(); }
 };
 
-/// Tuning knobs of a FrameStore. The defaults bound resident memory to a
-/// few seconds of video while keeping every frame a pipeline revisits
-/// (reference frames, catch-up batches) resident. How many threads one
-/// render uses is not a knob: `SyntheticVideo::render_into` splits a
-/// frame's rows on the shared pool when the frame is large enough to gain.
+/// Retention and recycling bounds of a FrameStore. Every engine runs on
+/// the defaults, which bound resident memory to a few seconds of video
+/// while keeping every frame a pipeline revisits (reference frames,
+/// catch-up batches) resident; tests set other values to exercise
+/// eviction and recycling. How many threads one render uses is not a
+/// knob: `SyntheticVideo::render_into` splits a frame's rows on the shared
+/// pool when the frame is large enough to gain.
 struct FrameStoreOptions {
   /// Frames the store itself keeps alive behind the newest requested index.
   /// Older slots are released (outstanding FrameRefs keep their pixels
   /// alive; a re-request re-renders and counts in `re_renders`). 0 retains
-  /// nothing — the degenerate mode that reproduces the pre-store cost
-  /// model, used by bench_pipeline's "before" measurement and the
-  /// pipeline-equivalence test.
+  /// nothing behind the newest request.
   int window = 120;
   /// Upper bound on recycled pixel buffers parked in the FramePool. 0
   /// disables recycling (every render heap-allocates).

@@ -266,22 +266,6 @@ TEST(MpdtPipeline, SelectionPolicyKnob) {
   EXPECT_GE(adaptive, newest_only - 0.02);
 }
 
-TEST(MpdtPipeline, DescriptorBackendRunsEndToEnd) {
-  const video::SyntheticVideo video(pipeline_scene(43, 150, 1.0));
-  MpdtOptions options;
-  options.setting = detect::ModelSetting::kYolov3_512;
-  options.backend = TrackerBackend::kDescriptor;
-  const RunResult run = run_mpdt(video, options);
-  int tracked = 0;
-  for (const auto& frame : run.frames) {
-    EXPECT_NE(frame.source, ResultSource::kNone);
-    if (frame.source == ResultSource::kTracker) ++tracked;
-  }
-  EXPECT_GT(tracked, 0);
-  const std::vector<double> f1 = score_run(run, video, 0.5);
-  EXPECT_GT(util::mean(f1), 0.3);
-}
-
 TEST(MpdtPipeline, EmptyVideoHandled) {
   video::SceneConfig cfg = pipeline_scene(35, 1);
   const video::SyntheticVideo video(cfg);

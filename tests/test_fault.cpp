@@ -83,6 +83,15 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_FALSE(util::FaultPlan::parse("detector: stall p=1.5", 1, &error));
   // Bad number.
   EXPECT_FALSE(util::FaultPlan::parse("detector: stall p=abc", 1, &error));
+  // Non-finite numbers: from_chars reads "nan" and "inf", and a NaN
+  // probability passes both range comparisons.
+  for (const char* spec : {"detector: stall p=nan ms=100",
+                           "detector: stall every=2 ms=inf",
+                           "detector: stall every=2 ms=nan"}) {
+    error.clear();
+    EXPECT_FALSE(util::FaultPlan::parse(spec, 1, &error)) << spec;
+    EXPECT_NE(error.find("bad "), std::string::npos) << spec << ": " << error;
+  }
   // Unknown key.
   EXPECT_FALSE(util::FaultPlan::parse("detector: stall p=0.1 q=2", 1, &error));
   // Missing channel prefix.

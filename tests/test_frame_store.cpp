@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -9,8 +11,32 @@
 #include "video/frame_store.h"
 #include "video/scene.h"
 
+// Global operator new/delete replacements local to this test binary: every
+// heap allocation on any thread, the shared pool's render workers included,
+// bumps the counter, so a loop's delta is its real allocation traffic.
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return operator new(size); }
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace adavp::video {
 namespace {
+
+std::uint64_t allocations() {
+  return g_alloc_count.load(std::memory_order_relaxed);
+}
 
 SceneConfig small_config(std::uint64_t seed = 5, int frames = 24) {
   SceneConfig cfg;
@@ -137,6 +163,42 @@ TEST(FrameStoreTest, PoolRecyclesBuffersInSteadyState) {
   EXPECT_LE(stats.resident_frames, static_cast<std::size_t>(opt.window + 1));
 }
 
+// The process-wide form of the pool test above: once the pool is warm, a
+// `get` behind a sliding trim performs no heap allocation anywhere, not in
+// the store, the pool, the render, or the shared pool the render splits
+// on. 256x144 = 36,864 pixels is above the render's split grain, so every
+// render here runs as a parallel region; a per-region allocation in the
+// thread pool shows up as a nonzero count.
+TEST(FrameStoreTest, SteadyStateStreamingMakesNoHeapAllocations) {
+  SceneConfig cfg;
+  cfg.width = 256;
+  cfg.height = 144;
+  cfg.frame_count = 48;
+  cfg.seed = 77;
+  cfg.initial_objects = 4;
+  cfg.speed_mean = 1.2;
+  SyntheticVideo video(cfg);
+  FrameStoreOptions opt;
+  opt.window = 8;
+  opt.pool_buffers = 16;
+  FrameStore store(video, opt);
+
+  const int half = cfg.frame_count / 2;
+  std::uint64_t at_half = 0;
+  bool all_valid = true;
+  for (int f = 0; f < cfg.frame_count; ++f) {
+    if (f == half) at_half = allocations();
+    store.trim_below(f - opt.window);
+    all_valid = store.get(f).valid() && all_valid;
+  }
+  const std::uint64_t steady_allocs = allocations() - at_half;
+
+  EXPECT_TRUE(all_valid);
+  EXPECT_EQ(steady_allocs, 0u)
+      << "heap allocations over the last " << cfg.frame_count - half
+      << " frames of a warm stream";
+}
+
 TEST(FrameStoreTest, TrimReleasesResidency) {
   SyntheticVideo video(small_config(17, 12));
   FrameStore store(video);
@@ -206,31 +268,22 @@ void expect_same(const core::RunResult& a, const core::RunResult& b) {
 }
 
 // The FrameRef conversion must not change pipeline outputs: rendering is
-// deterministic, so runs through the shared store, through the degenerate
-// per-consumer-render mode, and over a precached video must produce
-// bit-identical boxes and cycle schedules.
+// deterministic, so runs through the shared store and over a precached
+// video must produce bit-identical boxes and cycle schedules.
 TEST(FrameStoreTest, MpdtOutputsIdenticalAcrossStoreModes) {
   const SceneConfig cfg = small_config(29, 60);
-
-  core::MpdtOptions shared_opts;       // default: render-once shared store
-  core::MpdtOptions degenerate_opts;   // pre-store cost model
-  degenerate_opts.frame_store.window = 0;
-  degenerate_opts.frame_store.pool_buffers = 0;
+  const core::MpdtOptions options{};
 
   SyntheticVideo video_a(cfg);
-  const core::RunResult shared_run = core::run_mpdt(video_a, shared_opts);
+  const core::RunResult shared_run = core::run_mpdt(video_a, options);
   SyntheticVideo video_b(cfg);
-  const core::RunResult degenerate_run =
-      core::run_mpdt(video_b, degenerate_opts);
-  SyntheticVideo video_c(cfg);
-  video_c.precache();
-  const core::RunResult precached_run = core::run_mpdt(video_c, shared_opts);
+  video_b.precache();
+  const core::RunResult precached_run = core::run_mpdt(video_b, options);
 
-  expect_same(shared_run, degenerate_run);
   expect_same(shared_run, precached_run);
 
-  // And the shared store actually behaved differently under the hood:
-  // no frame rendered more than once vs. the degenerate mode's re-renders.
+  // And the two paths behaved differently under the hood: the shared
+  // store rendered each frame at most once, the precached run not at all.
   EXPECT_EQ(shared_run.frame_store.re_renders, 0u);
   EXPECT_EQ(precached_run.frame_store.renders, 0u);
   EXPECT_GT(precached_run.frame_store.precache_hits, 0u);
@@ -238,16 +291,14 @@ TEST(FrameStoreTest, MpdtOutputsIdenticalAcrossStoreModes) {
 
 TEST(FrameStoreTest, MarlinOutputsIdenticalAcrossStoreModes) {
   const SceneConfig cfg = small_config(31, 60);
-  core::MarlinOptions shared_opts;
-  core::MarlinOptions degenerate_opts;
-  degenerate_opts.frame_store.window = 0;
-  degenerate_opts.frame_store.pool_buffers = 0;
+  const core::MarlinOptions options{};
   SyntheticVideo video_a(cfg);
-  const core::RunResult shared_run = core::run_marlin(video_a, shared_opts);
+  const core::RunResult shared_run = core::run_marlin(video_a, options);
   SyntheticVideo video_b(cfg);
-  const core::RunResult degenerate_run =
-      core::run_marlin(video_b, degenerate_opts);
-  expect_same(shared_run, degenerate_run);
+  video_b.precache();
+  const core::RunResult precached_run = core::run_marlin(video_b, options);
+  expect_same(shared_run, precached_run);
+  EXPECT_EQ(precached_run.frame_store.renders, 0u);
 }
 
 // run_realtime is wall-clock scheduled, so two runs are not comparable

@@ -119,12 +119,11 @@ TEST(RealtimePipeline, NoFrameRendersTwiceThroughTheStore) {
   // The pre-store pipeline rasterized every reference frame twice (once on
   // the camera thread, again in the tracker's set_reference). The store's
   // render-once latch plus the FrameRef carried in the detection event must
-  // eliminate that: with eviction disabled, renders == frames captured and
-  // nothing ever re-renders.
+  // eliminate that: the store's default window retains all 60 frames, so
+  // renders == frames captured and nothing ever re-renders.
   video::SyntheticVideo video(scene(23, 60));  // deliberately NOT precached
   RealtimeOptions options;
   options.time_scale = timing_sensitive_scale(30.0);
-  options.frame_store.window = video.frame_count();  // retain everything
   const RealtimeResult result = run_realtime(video, options);
 
   EXPECT_EQ(result.stats.frames_rendered, result.stats.frames_captured);

@@ -52,6 +52,21 @@ TEST(SloSpec, RejectsMalformedSpecsWithDiagnostics) {
   EXPECT_FALSE(SloSpec::parse("fps=0", &error).has_value());
   EXPECT_FALSE(SloSpec::parse("window_ms=-5", &error).has_value());
   EXPECT_NE(error.find("positive"), std::string::npos);
+  for (const char* text : {"fps=nan window_ms=1000", "fps=30 window_ms=inf",
+                           "fps=30 deadline_ms=nan"}) {
+    EXPECT_FALSE(SloSpec::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("bad number"), std::string::npos) << text;
+  }
+  // Window counts are range-checked before the int cast, which would be
+  // undefined for 1e300.
+  for (const char* text : {"fps=30 breach_windows=1e300",
+                           "fps=30 recover_windows=1e300",
+                           "fps=30 breach_windows=0"}) {
+    EXPECT_FALSE(SloSpec::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("must be in [1, INT_MAX]"), std::string::npos)
+        << text << ": " << error;
+  }
+  EXPECT_TRUE(SloSpec::parse("breach_windows=2147483647").has_value());
 }
 
 // -------------------------------------------------------------- tracker
