@@ -53,6 +53,15 @@ else
   ctest --preset "$preset" -j "$jobs"
 fi
 
+if [ "$preset" = "tsan" ] && [ "$soak_only" = "0" ]; then
+  # FleetGpu lookahead dispatches while granted streams still run, so real
+  # thread interleavings reach the schedule: repeat the fleet determinism
+  # suites to give a racy promise more than one chance to show.
+  echo "==> ctest (fleet determinism, repeated, TSan)"
+  ctest --test-dir build-tsan -R '^test_fleet(_soak)?$' \
+    --repeat until-fail:3 --output-on-failure
+fi
+
 if [ "$preset" = "release" ]; then
   # Each bench_gate run checks absolute invariants always, and compares
   # directionally against a previous report when its *_BASELINE variable

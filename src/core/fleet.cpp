@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -42,6 +43,13 @@ void FleetGpu::set_admission_ledger(double capacity, double used) {
 
 FleetGpu::Grant FleetGpu::submit(Request request) {
   std::unique_lock<std::mutex> lock(mutex_);
+  Status kept = park_locked(request.stream, "submit", request.frame,
+                            request.submit_ms);
+  if (!kept.ok()) {
+    Grant refused;
+    refused.status = std::move(kept);
+    return refused;
+  }
   Waiter waiter{std::move(request), false, {}};
   pending_.push_back(&waiter);
   ++waiting_;
@@ -53,6 +61,12 @@ FleetGpu::Grant FleetGpu::submit(Request request) {
 FleetGpu::ProbeResult FleetGpu::probe(int stream, double at_ms,
                                       double want_duty) {
   std::unique_lock<std::mutex> lock(mutex_);
+  Status kept = park_locked(stream, "probe", -1, at_ms);
+  if (!kept.ok()) {
+    ProbeResult refused;
+    refused.status = std::move(kept);
+    return refused;
+  }
   ProbeWaiter waiter;
   waiter.stream = stream;
   waiter.at_ms = at_ms;
@@ -66,11 +80,24 @@ FleetGpu::ProbeResult FleetGpu::probe(int stream, double at_ms,
 
 void FleetGpu::release_duty(double at_ms, double duty) {
   std::lock_guard<std::mutex> lock(mutex_);
-  duty_events_.push_back({at_ms, -duty});
+  add_duty_locked(at_ms, -duty);
 }
 
-void FleetGpu::finished(int /*stream*/, double /*at_ms*/) {
+void FleetGpu::promise(int stream, double at_ms) {
   std::lock_guard<std::mutex> lock(mutex_);
+  const auto slot = static_cast<std::size_t>(stream);
+  if (slot >= promised_.size()) {
+    promised_.resize(slot + 1, -std::numeric_limits<double>::infinity());
+  }
+  promised_[slot] = std::max(promised_[slot], at_ms);
+  maybe_dispatch_locked();
+}
+
+void FleetGpu::finished(int stream, double /*at_ms*/) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // A stream that only finishes cannot break a promise; this just clears it.
+  (void)park_locked(stream, "finish", -1,
+                    std::numeric_limits<double>::infinity());
   ++finished_;
   maybe_dispatch_locked();
 }
@@ -78,6 +105,34 @@ void FleetGpu::finished(int /*stream*/, double /*at_ms*/) {
 FleetGpuStats FleetGpu::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
+}
+
+Status FleetGpu::park_locked(int stream, const char* event, int frame,
+                             double at_ms) {
+  const auto slot = static_cast<std::size_t>(stream);
+  if (slot >= promised_.size()) return Status();
+  const double promised = promised_[slot];
+  promised_[slot] = -std::numeric_limits<double>::infinity();
+  if (at_ms >= promised) return Status();
+  // The dispatch rule may already have composed a batch this event
+  // belonged in: fail the stream loudly instead of reordering silently.
+  return Status::worker_failure(annotate_failure(
+      "fleet", frame,
+      "stream " + std::to_string(stream) + " broke its lookahead promise: " +
+          event + " at " + std::to_string(at_ms) +
+          " ms, promised no event before " + std::to_string(promised) +
+          " ms"));
+}
+
+void FleetGpu::add_duty_locked(double at_ms, double delta) {
+  const DutyEvent event{at_ms, delta};
+  duty_events_.insert(
+      std::upper_bound(duty_events_.begin(), duty_events_.end(), event,
+                       [](const DutyEvent& a, const DutyEvent& b) {
+                         return a.at_ms != b.at_ms ? a.at_ms < b.at_ms
+                                                   : a.delta < b.delta;
+                       }),
+      event);
 }
 
 double FleetGpu::used_at_locked(double t) const {
@@ -90,16 +145,18 @@ double FleetGpu::used_at_locked(double t) const {
 }
 
 void FleetGpu::maybe_dispatch_locked() {
-  // Conservative discrete-event simulation: compose a batch only when
-  // every participating stream is parked here (ungranted request or
-  // unresolved probe) or finished. At that instant the pending set is
-  // complete — no stream can still produce an event with an earlier
-  // virtual time — so everything below is a pure function of virtual
-  // times, independent of how the OS interleaved the threads. This is
-  // what makes fleet runs bit-identical for a fixed seed (pinned by
-  // tests/test_fleet_soak.cpp and test_fleet_chaos.cpp under TSan).
+  // Conservative discrete-event simulation with lookahead (class comment):
+  // act only when no stream can still produce an event early enough to
+  // change the action. At that instant everything below is a pure
+  // function of virtual times, independent of how the OS interleaved the
+  // threads. This is what makes fleet runs bit-identical for a fixed seed
+  // (pinned by tests/test_fleet_soak.cpp and test_fleet_chaos.cpp under
+  // TSan).
   if (pending_.empty() && probes_.empty()) return;
-  if (waiting_ + finished_ < stream_count_) return;
+  const int running = stream_count_ - waiting_ - finished_;
+  // Probes keep the all-parked rule: a running stream may still release
+  // duty below a pending probe's time.
+  if (running > 0 && !probes_.empty()) return;
   constexpr double kEps = 1e-9;
 
   // Earliest pending probe (ties by stream id). A probe is resolved only
@@ -121,7 +178,7 @@ void FleetGpu::maybe_dispatch_locked() {
     p->result.available = avail;
     p->result.admitted = ledger_armed_ && avail + kEps >= p->want_duty;
     if (p->result.admitted) {
-      duty_events_.push_back({p->at_ms, p->want_duty});
+      add_duty_locked(p->at_ms, p->want_duty);
       ++stats_.probe_grants;
     }
     ++stats_.probes;
@@ -156,6 +213,15 @@ void FleetGpu::maybe_dispatch_locked() {
   if (probe != nullptr && probe->at_ms <= start + kEps) {
     resolve_probe(probe);
     return;
+  }
+  if (running > 0) {
+    // Lookahead: every running stream must have promised its next event
+    // strictly after `start`, so none of them can join or move this batch.
+    int beyond = 0;
+    for (double bound : promised_) {
+      if (bound > start + kEps) ++beyond;
+    }
+    if (beyond < running) return;
   }
   // A request submitted after `start` exists in *our* (wall) time but not
   // yet in virtual time — it cannot join a batch that starts before it.
@@ -273,6 +339,7 @@ void FleetGpu::maybe_dispatch_locked() {
   stats_.retries += static_cast<std::uint64_t>(retries);
   stats_.recovery_ms += recovery;
   if (dispatch_failed) ++stats_.failed_dispatches;
+  if (running > 0) ++stats_.lookahead_dispatches;
   if (obs::Telemetry::enabled()) {
     // Fleet-aggregate instruments, resolved per dispatch on whatever
     // stream thread got here: bypass the thread's stream prefix so all
@@ -283,6 +350,9 @@ void FleetGpu::maybe_dispatch_locked() {
         .record(static_cast<double>(k));
     reg.latency_histogram("fleet", "batch_service_ms").record(service);
     reg.counter("fleet", "batches").add();
+    reg.histogram("fleet", "streams_running", {0, 1, 2, 3, 4, 6, 8, 12, 16})
+        .record(static_cast<double>(running));
+    if (running > 0) reg.counter("fleet", "lookahead_dispatches").add();
     if (billed_hangs > 0) {
       reg.counter("fleet", "gpu.hangs")
           .add(static_cast<std::uint64_t>(billed_hangs));

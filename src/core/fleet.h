@@ -157,6 +157,10 @@ struct FleetGpuStats {
   // --- dynamic re-admission (supervisor probes) ---
   std::uint64_t probes = 0;
   std::uint64_t probe_grants = 0;
+  // --- lookahead ---
+  /// Dispatches composed while at least one stream was still running on
+  /// the strength of its promise.
+  std::uint64_t lookahead_dispatches = 0;
 };
 
 struct FleetResult {
@@ -202,14 +206,27 @@ struct FleetOptions {
 /// admitted stream threads block on.
 ///
 /// Scheduling is conservative discrete-event simulation over *virtual*
-/// time: a batch is composed only when every participating stream is
-/// either parked here with an ungranted request or finished. At that
-/// moment the pending set is complete, so batch composition is a pure
-/// function of the requests' virtual times — deterministic for a fixed
-/// seed regardless of how the OS interleaves the threads (the fleet soak
-/// pins this under TSan).
+/// time with Chandy–Misra–Bryant lookahead. Right after a grant, a running
+/// stream promise()s a lower bound on the virtual time of its next GPU
+/// event (submit, probe or finish); a stream that has not promised since
+/// its last grant may produce an event at any time. A batch is composed
+/// when
+///   - every participating stream is parked here (ungranted request or
+///     unresolved probe), finished, or has promised a bound > start; and
+///   - no probe is pending — a pending probe reads the duty ledger, which
+///     running streams still feed (release_duty), so probes keep the
+///     all-parked rule.
+/// A running stream's next request then has submit >= bound > start: it
+/// could neither join this batch nor move its start. So batch composition
+/// stays a pure function of the requests' virtual times — the same batch,
+/// EDF order, dispatch index and grant the all-parked rule would produce,
+/// deterministic for a fixed seed regardless of how the OS interleaves
+/// the threads (the fleet soak pins this under TSan) — while the granted
+/// streams track in parallel. An event before its stream's own promise
+/// fails that stream (Grant::status / ProbeResult::status) rather than
+/// silently reordering the schedule.
 ///
-/// Dispatch, given the full pending set:
+/// Dispatch, given the pending set:
 ///   start    = max(gpu_free, earliest pending submit)
 ///   eligible = requests with submit <= start (a request "from the
 ///              future" of the GPU clock cannot join this batch)
@@ -242,6 +259,8 @@ class FleetGpu {
     int hangs = 0;        ///< watchdog-cancelled attempts billed to us
     int retries = 0;      ///< re-dispatches (hangs + dropped results)
     bool failed = false;  ///< retry budget exhausted: no result this cycle
+    /// Failed when the request broke the stream's promise (not granted).
+    Status status;
   };
 
   /// Outcome of a dynamic re-admission probe (resolved at virtual time
@@ -250,10 +269,13 @@ class FleetGpu {
     bool admitted = false;
     double at_ms = 0.0;      ///< virtual time the probe was resolved
     double available = 0.0;  ///< capacity - used_at(at_ms)
+    /// Failed when the probe broke the stream's promise (not resolved).
+    Status status;
   };
 
   /// `stream_count` is the number of participating streams that will call
-  /// submit()/probe()/finished(); dispatch waits for all of them to park.
+  /// submit()/probe()/finished(); dispatch waits for each of them to park,
+  /// finish or promise beyond the batch start.
   /// `gpu_faults` (the plan's `gpu:` channel, keyed by dispatch index)
   /// drives hang / wedge / drop injection against the shared GPU; the
   /// default empty channel injects nothing.
@@ -266,7 +288,15 @@ class FleetGpu {
   void set_admission_ledger(double capacity, double used);
 
   /// Blocks the calling stream until the coordinator grants its request.
+  /// A request submitted before the stream's promise returns at once with
+  /// a failed `status` and is not queued.
   Grant submit(Request request);
+
+  /// Lookahead: the calling stream, running since its last grant, will
+  /// produce no GPU event (submit, probe) before global virtual time
+  /// `at_ms`; +infinity when it will only finish. A bound only rises until
+  /// the stream next parks, which clears it.
+  void promise(int stream, double at_ms);
 
   /// Parks the calling stream on the coordinator until virtual time
   /// `at_ms` is globally reached, then re-runs the duty-cycle admission
@@ -274,7 +304,8 @@ class FleetGpu {
   /// acquires `want_duty`. Probes are coordinator events like requests:
   /// one is resolved only when its time is the minimum over every pending
   /// event, so the ledger it reads is provably complete — deterministic
-  /// regardless of thread interleaving, exactly like dispatch.
+  /// regardless of thread interleaving, exactly like dispatch. A probe
+  /// before the stream's promise returns at once with a failed `status`.
   ProbeResult probe(int stream, double at_ms, double want_duty);
 
   /// Returns `duty` to the ledger at virtual time `at_ms` — quarantine
@@ -310,8 +341,18 @@ class FleetGpu {
   /// time <= t). Caller holds mutex_.
   double used_at_locked(double t) const;
 
-  /// Dispatches one batch or resolves one probe iff every stream is
-  /// parked or finished. Caller holds mutex_.
+  /// Parks `stream` for `event` (at `at_ms`, on `frame` or -1): clears
+  /// its promise and returns a failure when the event breaks it. Caller
+  /// holds mutex_.
+  Status park_locked(int stream, const char* event, int frame, double at_ms);
+
+  /// Records a ledger delta, kept in (time, delta) order so used_at sums
+  /// in the same order however the streams' releases interleaved. Caller
+  /// holds mutex_.
+  void add_duty_locked(double at_ms, double delta);
+
+  /// Dispatches one batch or resolves one probe iff the dispatch rule
+  /// above holds. Caller holds mutex_.
   void maybe_dispatch_locked();
 
   GpuOptions options_;
@@ -323,6 +364,9 @@ class FleetGpu {
   std::vector<ProbeWaiter*> probes_;   ///< parked, unresolved (stack-owned)
   int waiting_ = 0;   ///< streams parked with an ungranted request or probe
   int finished_ = 0;  ///< streams done submitting
+  /// Per stream id: the running stream's promise, -infinity when it has
+  /// none (parked, finished, or not promised since its last grant).
+  std::vector<double> promised_;
   double gpu_free_ms_ = 0.0;
   std::uint64_t dispatch_seq_ = 0;  ///< gpu-fault event index
   // Duty ledger (virtual-time admission bookkeeping).

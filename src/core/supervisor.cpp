@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,6 +41,13 @@ constexpr int kMaxProbes = 16;
 /// DegradationLadder level a re-admitted stream rejoins at — degraded
 /// first, recovering toward its granted setting through on_success.
 constexpr int kReadmitLevel = 3;
+
+/// A request or probe before the stream's own lookahead promise
+/// (FleetGpu::promise): a scheduling bug, so it ends the stream as failed
+/// instead of entering crash containment.
+struct BrokenPromise : std::logic_error {
+  using std::logic_error::logic_error;
+};
 
 /// Exact percentile over a copied sample set (fleet reports are per-run,
 /// not streaming, so the exact order statistic is affordable).
@@ -208,6 +217,11 @@ void StreamSupervisor::run() {
     }
     return std::max(complete, quantize_up(complete, cadence));
   };
+  auto submit = [&](const FleetGpu::Request& request) {
+    FleetGpu::Grant grant = rt.gpu->submit(request);
+    if (!grant.status.ok()) throw BrokenPromise(grant.status.message());
+    return grant;
+  };
 
   // --- checkpoint: the last completed cycle's state. Lives outside the
   // containment loop so a restart resumes from it instead of frame 0.
@@ -217,6 +231,54 @@ void StreamSupervisor::run() {
   bool coast_first = false;       ///< first post-restart cycle coasts
   double resume_local_ms = join_local_ms;  ///< clock floor on (re)entry
   int restarts_left = kMaxRestarts;
+
+  // The next detection cycle: the clock it starts at, the frame it detects
+  // and that frame's capture time. Planned once per cycle, either right
+  // after the previous grant (plan_and_promise) or at the top of the cycle.
+  struct CyclePlan {
+    double now = 0.0;
+    int index = 0;
+    double capture_t = 0.0;
+  };
+  std::optional<CyclePlan> planned;
+  auto plan_cycle = [&](int ref, double now) {
+    int index = 0;
+    if (ref < 0) {
+      // Cycle 0 (also: a late admission, or a restart that never completed
+      // a cycle): the newest captured frame as soon as the stream is live,
+      // so every later frame of the run has a result to inherit.
+      index = std::max(0, ctx.newest_captured(now));
+    } else {
+      // Cadence pacing: the next detection is due one cadence after the
+      // reference frame's capture. If queueing made the stream late the
+      // due time is already past — take the newest captured frame instead
+      // of chasing stale ones.
+      const double due = ctx.capture_time_ms(ref) + cadence;
+      index = std::max(ref + 1, ctx.newest_captured(std::max(now, due)));
+    }
+    return CyclePlan{now, index, ctx.capture_time_ms(index)};
+  };
+  // Lookahead (DESIGN.md §13), right after a grant: plan the cycle that
+  // follows reference `ref` from the clock the stream resumes at, and
+  // promise the GPU no event before that cycle's ready time without its
+  // wedge (the submit adds the wedge, >= 0). A supervised stream can
+  // instead crash before that submit — while tracking this cycle, its
+  // clock still at `cycle_now`, or later — and its first re-admission
+  // probe comes no earlier than that clock plus the shortest backoff.
+  auto plan_and_promise = [&](int ref, double resume, double cycle_now) {
+    double bound = std::numeric_limits<double>::infinity();
+    if (ref < ctx.last) {
+      planned = plan_cycle(ref, resume);
+      bound = std::max(planned->now, planned->capture_t);
+    }
+    if (rt.supervised) bound = std::min(bound, cycle_now + kBackoffInitialMs);
+    rt.gpu->promise(rt.id, rt.offset_ms + bound);
+  };
+  // Planning bills the camera hiccups of the frames it looks at. Only the
+  // tracker can throw between a successful grant and the next cycle, and a
+  // throw discards the plan, so a stream whose tracker carries faults plans
+  // at the top of the cycle instead (and promises nothing while tracking).
+  const bool plan_before_tracking = ctx.tracker().empty();
 
   // Serve a cycle from the reference instead of a detection, completing at
   // `done_ms`: re-issue the last good boxes with one more confidence-decay
@@ -241,25 +303,25 @@ void StreamSupervisor::run() {
         if (ctx.clock->now_ms() < resume_local_ms) {
           ctx.clock->set(resume_local_ms);
         }
-        // Cycle 0 (also: a late admission, or a restart that never
-        // completed a cycle): detect the newest captured frame as soon as
-        // the stream is live, so every later frame of the run has a
-        // result to inherit.
         while (ref_index < 0) {
-          const double now = ctx.clock->now_ms();
-          const int start_index = std::max(0, ctx.newest_captured(now));
+          const CyclePlan cycle =
+              planned ? *planned : plan_cycle(-1, ctx.clock->now_ms());
+          planned.reset();
+          const double now = cycle.now;
+          const int start_index = cycle.index;
+          const double capture0 = cycle.capture_t;
           active_frame = start_index;
           const double wedge = scan_stream_faults(start_index);
           const detect::DetectionResult det =
               ctx.detect(start_index, base_setting);
-          const double capture0 = ctx.capture_time_ms(start_index);
           const double ready = std::max(now, capture0) + wedge;
-          const FleetGpu::Grant grant = rt.gpu->submit(
+          const FleetGpu::Grant grant = submit(
               {rt.id, start_index, base_setting, rt.offset_ms + ready,
                rt.offset_ms + capture0 + rt.deadline_ms, det.latency_ms});
           note_grant(grant, base_setting);
           const double complete = grant.complete_ms - rt.offset_ms;
-          ctx.clock->set(resume_point(grant, complete));
+          const double resume = resume_point(grant, complete);
+          ctx.clock->set(resume);
           if (grant.failed) {
             // Watchdog abandoned the dispatch: the result is lost. Retry
             // with whatever frame is newest by then.
@@ -267,6 +329,7 @@ void StreamSupervisor::run() {
               throw std::runtime_error(
                   "gpu dispatch abandoned at end of stream");
             }
+            plan_and_promise(-1, resume, now);
             continue;
           }
           ctx.record_detection(start_index, det, base_setting, complete);
@@ -278,18 +341,16 @@ void StreamSupervisor::run() {
           }
           ref = det;
           ref_index = start_index;
+          plan_and_promise(ref_index, resume, now);
         }
 
         while (ref_index < ctx.last) {
-          const double now = ctx.clock->now_ms();
-          // Cadence pacing: the next detection is due one cadence after
-          // the reference frame's capture. If queueing made the stream
-          // late the due time is already past — take the newest captured
-          // frame instead of chasing stale ones.
-          const double due = ctx.capture_time_ms(ref_index) + cadence;
-          int next_index = ctx.newest_captured(std::max(now, due));
-          if (next_index <= ref_index) next_index = ref_index + 1;
-          const double capture_t = ctx.capture_time_ms(next_index);
+          const CyclePlan cycle =
+              planned ? *planned : plan_cycle(ref_index, ctx.clock->now_ms());
+          planned.reset();
+          const double now = cycle.now;
+          const int next_index = cycle.index;
+          const double capture_t = cycle.capture_t;
           active_frame = next_index;
           const double wedge = scan_stream_faults(next_index);
 
@@ -315,20 +376,23 @@ void StreamSupervisor::run() {
           const detect::ModelSetting setting = ladder.apply(base_setting);
           const detect::DetectionResult det = ctx.detect(next_index, setting);
           const double ready = std::max(now, capture_t) + wedge;
-          const FleetGpu::Grant grant = rt.gpu->submit(
+          const FleetGpu::Grant grant = submit(
               {rt.id, next_index, setting, rt.offset_ms + ready,
                rt.offset_ms + capture_t + rt.deadline_ms, det.latency_ms});
           note_grant(grant, setting);
           const double complete = grant.complete_ms - rt.offset_ms;
+          const double resume = resume_point(grant, complete);
           if (grant.failed) {
             // Retry budget exhausted: the result is lost. Serve the cycle
             // from the reference instead (a forced coast) and move on —
             // the next cadence tick retries detection.
             serve_from_reference(next_index, capture_t, complete);
-            ctx.clock->set(resume_point(grant, complete));
+            ctx.clock->set(resume);
             ref_index = next_index;
+            plan_and_promise(ref_index, resume, now);
             continue;
           }
+          if (plan_before_tracking) plan_and_promise(next_index, resume, now);
 
           // Tracker side: the previous reference propagates across the
           // frames buffered since the last result, using the whole window
@@ -353,11 +417,15 @@ void StreamSupervisor::run() {
           if (ladder.level() > 0) ladder.on_success();
           ref = det;
           ref_index = next_index;
-          ctx.clock->set(resume_point(grant, complete));
+          ctx.clock->set(resume);
         }
       }
       break;  // clean completion
+    } catch (const BrokenPromise& e) {
+      ctx.fail(e.what());
+      break;
     } catch (const std::exception& e) {
+      planned.reset();
       const double crash_local = ctx.clock->now_ms();
       if (!rt.supervised) {
         ctx.fail(annotate_failure("stream", active_frame,
@@ -417,11 +485,16 @@ void StreamSupervisor::run() {
       // against the live ledger, on the supervisor's period, until it
       // grants or the probe budget runs out.
       bool readmitted = false;
+      Status broken;
       double at_local = crash_local + backoff;
       for (int p = 1; p <= kMaxProbes; ++p) {
         ++sv.probes;
         const FleetGpu::ProbeResult res =
             rt.gpu->probe(rt.id, rt.offset_ms + at_local, held_duty);
+        if (!res.status.ok()) {
+          broken = res.status;
+          break;
+        }
         if (res.admitted) {
           readmitted = true;
           holding = true;
@@ -430,6 +503,10 @@ void StreamSupervisor::run() {
           break;
         }
         at_local += kProbePeriodMs;
+      }
+      if (!broken.ok()) {
+        ctx.fail(broken.message());
+        break;
       }
       if (!readmitted) {
         sv.gave_up = true;

@@ -307,7 +307,10 @@ TEST(FaultSoak, SloWindowsAndFlightRecorderCaptureDegradationAndRecovery) {
   // frames 30..89 (video time 1..3 s) stalls hard. Before and after, the
   // pipeline is healthy — the shape a sliding-window SLO exists to expose.
   std::string burst = "detector: stall at=30";
-  for (int i = 31; i < 90; ++i) burst += "," + std::to_string(i);
+  for (int i = 31; i < 90; ++i) {
+    burst += ',';
+    burst += std::to_string(i);
+  }
   burst += " ms=1500";
   std::string error;
   const auto plan = util::FaultPlan::parse(burst, 17, &error);

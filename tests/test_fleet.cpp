@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -174,6 +176,121 @@ TEST(FleetGpu, WedgeExhaustsTheRetryBudgetAndFailsTheDispatch) {
   EXPECT_EQ(stats.hangs, 3u);
 }
 
+// --- lookahead ----------------------------------------------------------
+//
+// Scripted streams drive FleetGpu's dispatch rule directly: the test
+// thread plays the running stream (promise / finished), std::async plays
+// the parked ones. A dispatch the rule should allow must happen while the
+// running stream is still running; one it should hold must not happen
+// until that stream parks or finishes.
+
+using namespace std::chrono_literals;
+
+template <typename T>
+bool ready_within(const std::future<T>& f, std::chrono::milliseconds ms) {
+  return f.wait_for(ms) == std::future_status::ready;
+}
+
+TEST(FleetGpuLookahead, DispatchesWhileAStreamPromisedBeyondStartRuns) {
+  FleetGpu gpu({.max_batch = 4}, /*stream_count=*/2);
+  gpu.promise(1, 1000.0);  // stream 1 runs: no GPU event before t=1000
+  auto a = std::async(std::launch::async, [&] {
+    return gpu.submit({0, 0, ModelSetting::kYolov3Tiny_320, 0.0, 500.0, 50.0});
+  });
+  const bool dispatched_while_running = ready_within(a, 10s);
+  // Stream 1 parks at its promise.
+  auto b = std::async(std::launch::async, [&] {
+    return gpu.submit(
+        {1, 0, ModelSetting::kYolov3Tiny_320, 1000.0, 1500.0, 50.0});
+  });
+  EXPECT_TRUE(dispatched_while_running);
+  const FleetGpu::Grant ga = a.get();
+  gpu.finished(0);
+  const FleetGpu::Grant gb = b.get();
+  gpu.finished(1);
+  EXPECT_EQ(ga.start_ms, 0.0);
+  EXPECT_EQ(ga.batch_size, 1);
+  EXPECT_EQ(gb.start_ms, 1000.0);
+  EXPECT_TRUE(ga.status.ok());
+  EXPECT_TRUE(gb.status.ok());
+  const FleetGpuStats stats = gpu.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.lookahead_dispatches, 1u);
+}
+
+TEST(FleetGpuLookahead, PromiseAtOrBeforeStartHoldsTheDispatch) {
+  FleetGpu gpu({.max_batch = 4}, 2);
+  gpu.promise(1, 0.0);  // not beyond start = 0: stream 1 may still join
+  auto a = std::async(std::launch::async, [&] {
+    return gpu.submit({0, 0, ModelSetting::kYolov3Tiny_320, 0.0, 500.0, 50.0});
+  });
+  EXPECT_FALSE(ready_within(a, 200ms));
+  // Stream 1 parks with a request at t=0: it belongs in the same batch,
+  // which is exactly what holding the dispatch protected.
+  auto b = std::async(std::launch::async, [&] {
+    return gpu.submit({1, 0, ModelSetting::kYolov3Tiny_320, 0.0, 600.0, 60.0});
+  });
+  const FleetGpu::Grant ga = a.get();
+  gpu.finished(0);
+  const FleetGpu::Grant gb = b.get();
+  gpu.finished(1);
+  EXPECT_EQ(ga.batch_size, 2);
+  EXPECT_EQ(gb.batch_size, 2);
+  EXPECT_EQ(gpu.stats().lookahead_dispatches, 0u);
+}
+
+TEST(FleetGpuLookahead, PendingProbeFallsBackToAllParked) {
+  FleetGpu gpu({.max_batch = 4}, 3);
+  gpu.set_admission_ledger(1.0, 0.0);
+  gpu.promise(2, 1000.0);  // beyond both the batch start and the probe
+  auto probe = std::async(std::launch::async,
+                          [&] { return gpu.probe(1, 500.0, 0.1); });
+  auto a = std::async(std::launch::async, [&] {
+    return gpu.submit({0, 0, ModelSetting::kYolov3Tiny_320, 0.0, 500.0, 50.0});
+  });
+  // Stream 2 could still release duty below t=500: nothing may act.
+  EXPECT_FALSE(ready_within(a, 200ms));
+  EXPECT_FALSE(ready_within(probe, 0ms));
+  gpu.finished(2);
+  const FleetGpu::Grant ga = a.get();  // start 0 precedes the probe at 500
+  gpu.finished(0);
+  const FleetGpu::ProbeResult pr = probe.get();
+  gpu.finished(1);
+  EXPECT_EQ(ga.start_ms, 0.0);
+  EXPECT_TRUE(pr.status.ok());
+  EXPECT_TRUE(pr.admitted);
+  EXPECT_EQ(pr.at_ms, 500.0);
+  EXPECT_EQ(gpu.stats().lookahead_dispatches, 0u);
+}
+
+TEST(FleetGpuLookahead, BrokenPromiseFailsTheStreamInsteadOfQueueing) {
+  FleetGpu gpu({.max_batch = 4}, 1);
+  gpu.set_admission_ledger(1.0, 0.0);
+  gpu.promise(0, 100.0);
+  const FleetGpu::Grant early = gpu.submit(
+      {0, 7, ModelSetting::kYolov3Tiny_320, 99.0, 1000.0, 50.0});
+  EXPECT_TRUE(early.status.failed());
+  EXPECT_NE(early.status.message().find("fleet@frame 7:"), std::string::npos)
+      << early.status.message();
+  EXPECT_NE(early.status.message().find("promise"), std::string::npos);
+
+  gpu.promise(0, 100.0);
+  const FleetGpu::ProbeResult probe = gpu.probe(0, 50.0, 0.1);
+  EXPECT_TRUE(probe.status.failed());
+  EXPECT_FALSE(probe.admitted);
+
+  // Neither event reached the schedule; a kept promise is served normally.
+  gpu.promise(0, 100.0);
+  const FleetGpu::Grant kept = gpu.submit(
+      {0, 8, ModelSetting::kYolov3Tiny_320, 100.0, 1000.0, 50.0});
+  EXPECT_TRUE(kept.status.ok());
+  EXPECT_EQ(kept.start_ms, 100.0);
+  gpu.finished(0);
+  const FleetGpuStats stats = gpu.stats();
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(stats.probes, 0u);
+}
+
 // --- admission control --------------------------------------------------
 
 video::SceneConfig small_scene(std::uint64_t seed, int frames = 60) {
@@ -333,6 +450,27 @@ TEST(Fleet, DeterministicAcrossRepeatsAtBatchOneAndFour) {
     }
     EXPECT_EQ(a.gpu.batches, b.gpu.batches);
     EXPECT_DOUBLE_EQ(a.makespan_ms, b.makespan_ms);
+  }
+}
+
+/// Digest of fleet_of(4)'s streams under the all-parked rule, before the
+/// fleet had lookahead.
+constexpr std::uint64_t kGoldenFleetOf4 = 0x3FC0A1E56155164EULL;
+
+TEST(Fleet, LookaheadRunsStreamsInParallelWithAnUnchangedDigest) {
+  // Healthy streams promise their next event after every grant, so the GPU
+  // dispatches while they track; the schedule, and so the digest, must
+  // not depend on how the OS interleaved them.
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    const FleetResult fleet = run_fleet(fleet_of(4));
+    EXPECT_GT(fleet.gpu.lookahead_dispatches, 0u) << "repeat " << repeat;
+    Digest digest;
+    for (const FleetStreamResult& s : fleet.streams) {
+      EXPECT_TRUE(s.run.status.ok()) << s.name;
+      digest.pod(digest_run(s.run));
+    }
+    EXPECT_EQ(digest.value(), kGoldenFleetOf4)
+        << "repeat " << repeat << " digest 0x" << std::hex << digest.value();
   }
 }
 
