@@ -4,7 +4,10 @@
 //    §14) at one thread, speedup vs the scalar reference. This is the
 //    data-level-parallelism trajectory the simd/ subtree is accountable
 //    for; scripts/bench_gate.py enforces the AVX2 floors from the emitted
-//    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK).
+//    `gate` block (avx2 >= 1.5x scalar on pyramid build and LK). The
+//    pyramid row builds every tile; `lk_tracker_path` is what the tracker
+//    runs per step: two pyramids rebuilt and LK on 35 points in three
+//    boxes, building only the tiles LK reads.
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
 //    the serial path (the historical sweep).
 //  * The synthetic camera — its hash row (1280 values) and one serial
@@ -231,10 +234,16 @@ int main(int argc, char** argv) {
     bool thread_sweep = true;  ///< false: a serial kernel, ISA sweep only
   };
   std::vector<Kernel> kernels;
-  kernels.push_back({"pyramid_build", [&](const vision::KernelConfig& cfg) {
+  // Every tile of every level: the work of the eager whole-frame build the
+  // gate's floor was set on. The tiles are built on the calling thread, so
+  // the row is in the ISA sweep only.
+  kernels.push_back({"pyramid_build",
+                     [&](const vision::KernelConfig& cfg) {
                        vision::ImagePyramid pyr(frame_a, 3, 16, cfg);
+                       pyr.materialize_all();
                        if (pyr.levels() == 0) std::abort();
-                     }});
+                     },
+                     /*thread_sweep=*/false});
   kernels.push_back({"smooth3", [&](const vision::KernelConfig& cfg) {
                        volatile float sink = vision::smooth3(frame_f, cfg).at(1, 1);
                        (void)sink;
@@ -280,15 +289,43 @@ int main(int argc, char** argv) {
                                .size();
                        (void)sink;
                      }});
-  // LK is benchmarked on prebuilt pyramids: the pyramid cost is its own
+  // LK is benchmarked on fully built pyramids: the pyramid cost is its own
   // row above, and this isolates the point-parallel flow loop.
   const vision::ImagePyramid pa(frame_a, 3);
   const vision::ImagePyramid pb(frame_b, 3);
+  pa.materialize_all();
+  pb.materialize_all();
   kernels.push_back({"lk_flow", [&](const vision::KernelConfig& cfg) {
                        std::vector<geometry::Point2f> out;
                        std::vector<vision::FlowStatus> status;
                        vision::calc_optical_flow_pyr_lk(pa, pb, points, out,
                                                         status, {}, cfg);
+                     }});
+  // The tracker's path: both frames copied into reused pyramids, then LK on
+  // 35 features in the three boxes above, building the tiles it reads.
+  std::vector<geometry::Point2f> box_points;
+  {
+    const float boxes[3][4] = {{0.10f, 0.15f, 0.18f, 0.25f},
+                               {0.55f, 0.40f, 0.15f, 0.30f},
+                               {0.30f, 0.60f, 0.12f, 0.25f}};
+    for (int i = 0; i < 35; ++i) {
+      const float* b = boxes[i % 3];
+      const float u = static_cast<float>((i * 37) % 29) / 29.0f;
+      const float v = static_cast<float>((i * 53) % 31) / 31.0f;
+      box_points.push_back({(b[0] + b[2] * u) * static_cast<float>(width),
+                            (b[1] + b[3] * v) * static_cast<float>(height)});
+    }
+  }
+  vision::ImagePyramid track_a;
+  vision::ImagePyramid track_b;
+  kernels.push_back({"lk_tracker_path", [&](const vision::KernelConfig& cfg) {
+                       track_a.rebuild(frame_a, 3, 16, cfg);
+                       track_b.rebuild(frame_b, 3, 16, cfg);
+                       std::vector<geometry::Point2f> out;
+                       std::vector<vision::FlowStatus> status;
+                       vision::calc_optical_flow_pyr_lk(track_a, track_b,
+                                                        box_points, out, status,
+                                                        {}, cfg);
                      }});
 
   // The camera's sensor-noise / lattice-corner hash over one 720p row.

@@ -2,33 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "obs/telemetry.h"
 
 namespace adavp::track {
-
-namespace {
-
-/// True when `pyramid` was built from `frame`. Level 0 is `float(pixel)`
-/// of its frame, exactly, so the comparison needs no copy of the frame.
-/// Each row is compared as a whole, a loop the compiler vectorizes.
-bool built_from(const vision::ImagePyramid& pyramid, const vision::ImageU8& frame) {
-  if (pyramid.empty()) return false;
-  const vision::ImageF32& base = pyramid.level(0);
-  const int w = frame.width();
-  if (base.width() != w || base.height() != frame.height()) return false;
-  for (int y = 0; y < frame.height(); ++y) {
-    const std::uint8_t* pixels = &frame.at(0, y);
-    const float* floats = &base.at(0, y);
-    int differ = 0;
-    for (int x = 0; x < w; ++x) differ |= static_cast<float>(pixels[x]) != floats[x];
-    if (differ != 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 ObjectTracker::ObjectTracker(TrackerParams params) : params_(std::move(params)) {}
 
@@ -91,7 +70,8 @@ void ObjectTracker::set_reference(const vision::ImageU8& frame,
     if (obj.features.empty()) obj.lost = true;
   }
 
-  adopt_reference_pyramid(frame);
+  prev_pyramid_.rebuild(frame, params_.pyramid_levels, /*min_dimension=*/16,
+                        params_.kernels);
   frame_size_ = frame.size();
 
   if (obs::Telemetry::enabled()) {
@@ -215,6 +195,15 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
     }
   }
 
+  if (obs::Telemetry::enabled()) {
+    obs::MetricsRegistry& reg = obs::metrics();
+    const int levels = std::min(prev_pyramid_.levels(), next_pyramid_.levels());
+    for (int level = 1; level < levels; ++level) {
+      reg.counter("tracker", "pyramid_tiles_l" + std::to_string(level))
+          .add(static_cast<std::uint64_t>(prev_pyramid_.take_tiles_built(level) +
+                                          next_pyramid_.take_tiles_built(level)));
+    }
+  }
   std::swap(prev_pyramid_, next_pyramid_);
   frame_size_ = frame_size;
 
@@ -232,22 +221,6 @@ TrackStepStats ObjectTracker::track_to(const vision::ImageU8& frame, int frame_g
     }
   }
   return stats;
-}
-
-void ObjectTracker::adopt_reference_pyramid(const vision::ImageU8& frame) {
-  // The frame a reference detection ran on has usually just been tracked
-  // (track_to moved its pyramid into prev_pyramid_); a compare is much
-  // cheaper than rebuilding the pyramid, so probe before recomputing.
-  const bool reusable = built_from(prev_pyramid_, frame);
-  if (!reusable) {
-    prev_pyramid_.rebuild(frame, params_.pyramid_levels, /*min_dimension=*/16,
-                          params_.kernels);
-  }
-  if (obs::Telemetry::enabled()) {
-    obs::metrics()
-        .counter("tracker", reusable ? "pyramid_reused" : "pyramid_rebuilt")
-        .add();
-  }
 }
 
 std::vector<metrics::LabeledBox> ObjectTracker::current_boxes() const {

@@ -30,9 +30,13 @@ struct TrackerParams {
   bool forward_backward_check = false;
   float fb_threshold = 1.0f;
   vision::LucasKanadeParams lk;
-  /// Parallelism of the vision kernels on the tracking hot path (pyramid
-  /// build, Shi-Tomasi, LK). `num_threads = 1` forces the bit-exact serial
-  /// path; the default uses the shared kernel pool at hardware width.
+  /// Kernel settings of the tracking hot path. The ISA tier applies to
+  /// Shi-Tomasi, the pyramid tiles and LK; the thread settings apply to
+  /// LK's points, which run on the shared kernel pool at hardware width by
+  /// default (`num_threads = 1` runs them on the caller). Shi-Tomasi's box
+  /// tiles run on the calling thread, and a pyramid tile is built by the
+  /// LK worker that first reads it. Every setting gives bit-identical
+  /// results.
   vision::KernelConfig kernels;
 };
 
@@ -61,8 +65,9 @@ class ObjectTracker : public TrackerInterface {
   explicit ObjectTracker(TrackerParams params = {});
 
   /// Re-initializes the tracker from a detected frame: builds the box
-  /// mask, extracts good features inside the boxes, and stores the frame's
-  /// pyramid as the tracking reference.
+  /// mask, extracts good features inside the boxes, and copies the frame
+  /// into the reference pyramid, whose upper levels LK builds where it
+  /// reads them.
   void set_reference(const vision::ImageU8& frame,
                      const std::vector<detect::Detection>& detections) override;
 
@@ -85,11 +90,6 @@ class ObjectTracker : public TrackerInterface {
     std::vector<std::size_t> features;  ///< indices into features_/alive_
     bool lost = false;
   };
-
-  /// Pyramid for `frame`, reusing `prev_pyramid_` when `frame` is
-  /// byte-identical to the frame it was built from (the common
-  /// set_reference-after-track_to case).
-  void adopt_reference_pyramid(const vision::ImageU8& frame);
 
   TrackerParams params_;
   std::vector<TrackedObject> objects_;

@@ -9,8 +9,8 @@ namespace adavp::vision {
 
 /// Degree-of-parallelism knobs for the vision kernels (the "kernel
 /// engine", docs/PERFORMANCE.md). Threaded from `TrackerParams` through
-/// every hot kernel: smoothing, Sobel, pyramid construction, Shi-Tomasi,
-/// and pyramidal LK.
+/// every hot kernel: smoothing, Sobel, Shi-Tomasi, and pyramidal LK, whose
+/// point-parallel workers also build the pyramid tiles they read.
 ///
 /// `num_threads == 0` (default) resolves to the machine's hardware
 /// concurrency via the shared `util::ThreadPool`; `1` forces the serial

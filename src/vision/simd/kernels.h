@@ -89,6 +89,17 @@ struct SimdOps {
   void (*lk_sample_patch)(const float* pix, int w, float base_x, float base_y,
                           int r, float* jvals);
 
+  /// The two LK samplers on a byte plane (ImagePyramid's level 0): the
+  /// floats the float entries produce on float(pix), which is exact, bit
+  /// for bit. The AVX2 tier reads past the taps (32-bit gathers at byte
+  /// addresses, eight-byte loads on partial groups), so the plane must
+  /// stay readable for kLkByteOverread bytes past its last pixel.
+  void (*lk_sample_window_u8)(const std::uint8_t* pix, int w, float px,
+                              float py, int r, float* ivals, float* ixs,
+                              float* iys);
+  void (*lk_sample_patch_u8)(const std::uint8_t* pix, int w, float base_x,
+                             float base_y, int r, float* jvals);
+
   /// A row of the synthetic camera's hash noise: for k in [0, n)
   ///   out[k] = ref::hash_unit(seed, a0 + k, b),
   /// a uniform float in [0, 1). Integer lanes are exact on every tier and
@@ -115,6 +126,12 @@ struct SimdOps {
   void (*noise_row)(std::uint64_t seed, std::int64_t a0, std::int64_t b, int n,
                     float amp, std::uint8_t* dst);
 };
+
+/// Bytes past a byte plane's last pixel that `lk_sample_window_u8` and
+/// `lk_sample_patch_u8` may read: a 32-bit gather at the last tap reads
+/// three more, and the eight-byte loads of a window row's partial group
+/// (one live lane at least) reach seven past its last live tap.
+constexpr int kLkByteOverread = 7;
 
 /// Tables provided by the per-ISA translation units. `sse2_ops` /
 /// `avx2_ops` return nullptr when the build lacks that tier (non-x86

@@ -1,7 +1,8 @@
 // AVX2 tier: 8-wide vectorization of the interior kernels, one lane per
 // output element, plus gathered bilinear sampling for the two LK hot
-// loops, and the synthetic camera's rows: a 4 x u64 hash row and the
-// fused shade-clamp-narrow pixel rows. Per-lane operation order mirrors
+// loops (on float planes and on ImagePyramid's byte level 0), and the
+// synthetic camera's rows: a 4 x u64 hash row and the fused
+// shade-clamp-narrow pixel rows. Per-lane operation order mirrors
 // the scalar reference exactly (kernels_ref.h), and all loop-carried
 // reductions (LK's gxx/bx/residual accumulations) stay with the scalar
 // caller, so every result is bit-identical to the reference — see
@@ -20,23 +21,55 @@
 
 #include <immintrin.h>
 
+#include <bit>
+#include <cstdint>
+#include <type_traits>
+
 #include "vision/simd/kernels_ref.h"
 
 namespace adavp::vision::simd {
 namespace {
 
+// Division by a power of two and multiplication by its reciprocal give
+// the same correctly rounded float, and the multiply is several times
+// cheaper, so the kernels below multiply wherever the reference divides
+// by a power of two.
+
 inline __m256 smooth_combine(const float* a, const float* b, const float* c,
-                             int i, __m256 two, __m256 four) {
+                             int i, __m256 two, __m256 quarter) {
   const __m256 av = _mm256_loadu_ps(a + i);
   const __m256 bv = _mm256_loadu_ps(b + i);
   const __m256 cv = _mm256_loadu_ps(c + i);
-  return _mm256_div_ps(
-      _mm256_add_ps(_mm256_add_ps(av, _mm256_mul_ps(two, bv)), cv), four);
+  return _mm256_mul_ps(
+      _mm256_add_ps(_mm256_add_ps(av, _mm256_mul_ps(two, bv)), cv), quarter);
 }
+
+/// x / norm on eight lanes: a multiply when norm is a normal power of two
+/// (no mantissa bits, exponent neither 0 nor 255), whose reciprocal is
+/// exact. Tested on the bits, since the kernels run it per row.
+class Normalize {
+ public:
+  explicit Normalize(float norm)
+      : exact_(is_power_of_two(norm)),
+        factor_(_mm256_set1_ps(exact_ ? 1.0f / norm : norm)) {}
+  __m256 operator()(__m256 x) const {
+    return exact_ ? _mm256_mul_ps(x, factor_) : _mm256_div_ps(x, factor_);
+  }
+
+ private:
+  static bool is_power_of_two(float v) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+    const std::uint32_t exponent = (bits >> 23) & 0xFF;
+    return (bits & 0x7FFFFF) == 0 && exponent != 0 && exponent != 0xFF;
+  }
+
+  bool exact_;
+  __m256 factor_;
+};
 
 void filter_row_avx2(const float* src, float* dst, int x0, int x1,
                      const float* kernel, int radius, float norm) {
-  const __m256 vnorm = _mm256_set1_ps(norm);
+  const Normalize normalize(norm);
   int x = x0;
   for (; x + 8 <= x1; x += 8) {
     __m256 acc = _mm256_setzero_ps();
@@ -44,14 +77,14 @@ void filter_row_avx2(const float* src, float* dst, int x0, int x1,
       const __m256 kv = _mm256_set1_ps(kernel[k + radius]);
       acc = _mm256_add_ps(acc, _mm256_mul_ps(kv, _mm256_loadu_ps(src + x + k)));
     }
-    _mm256_storeu_ps(dst + x, _mm256_div_ps(acc, vnorm));
+    _mm256_storeu_ps(dst + x, normalize(acc));
   }
   ref::filter_row(src, dst, x, x1, kernel, radius, norm);
 }
 
 void filter_col_avx2(const float* center, std::ptrdiff_t stride, float* dst,
                      int w, const float* kernel, int radius, float norm) {
-  const __m256 vnorm = _mm256_set1_ps(norm);
+  const Normalize normalize(norm);
   int x = 0;
   for (; x + 8 <= w; x += 8) {
     __m256 acc = _mm256_setzero_ps();
@@ -60,7 +93,7 @@ void filter_col_avx2(const float* center, std::ptrdiff_t stride, float* dst,
       acc = _mm256_add_ps(
           acc, _mm256_mul_ps(kv, _mm256_loadu_ps(center + k * stride + x)));
     }
-    _mm256_storeu_ps(dst + x, _mm256_div_ps(acc, vnorm));
+    _mm256_storeu_ps(dst + x, normalize(acc));
   }
   ref::filter_col(center + x, stride, dst + x, w - x, kernel, radius, norm);
 }
@@ -68,7 +101,7 @@ void filter_col_avx2(const float* center, std::ptrdiff_t stride, float* dst,
 void sobel_row_avx2(const float* rm, const float* rc, const float* rp,
                     float* gx, float* gy, int w) {
   const __m256 two = _mm256_set1_ps(2.0f);
-  const __m256 eight = _mm256_set1_ps(8.0f);
+  const __m256 eighth = _mm256_set1_ps(0.125f);
   int x = 1;
   for (; x + 8 <= w - 1; x += 8) {
     const __m256 tl = _mm256_loadu_ps(rm + x - 1);
@@ -83,8 +116,8 @@ void sobel_row_avx2(const float* rm, const float* rc, const float* rp,
     const __m256 gxn = _mm256_add_ps(_mm256_add_ps(tl, _mm256_mul_ps(two, ml)), bl);
     const __m256 gyp = _mm256_add_ps(_mm256_add_ps(bl, _mm256_mul_ps(two, bc)), br);
     const __m256 gyn = _mm256_add_ps(_mm256_add_ps(tl, _mm256_mul_ps(two, tc)), tr);
-    _mm256_storeu_ps(gx + x, _mm256_div_ps(_mm256_sub_ps(gxp, gxn), eight));
-    _mm256_storeu_ps(gy + x, _mm256_div_ps(_mm256_sub_ps(gyp, gyn), eight));
+    _mm256_storeu_ps(gx + x, _mm256_mul_ps(_mm256_sub_ps(gxp, gxn), eighth));
+    _mm256_storeu_ps(gy + x, _mm256_mul_ps(_mm256_sub_ps(gyp, gyn), eighth));
   }
   if (x < w - 1) {
     ref::sobel_row(rm + x - 1, rc + x - 1, rp + x - 1, gx + x - 1, gy + x - 1,
@@ -96,17 +129,17 @@ void downsample_row_avx2(const float* ta, const float* tb, const float* tc,
                          const float* b0, const float* b1, const float* b2,
                          float* dst, int x_end) {
   const __m256 two = _mm256_set1_ps(2.0f);
-  const __m256 four = _mm256_set1_ps(4.0f);
+  const __m256 quarter = _mm256_set1_ps(0.25f);
   // After shuffle_ps(lo, hi, 0x88/0xDD) the even/odd source columns sit in
   // 128-bit-lane-interleaved order; this permute restores ascending order.
   const __m256i fix = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
   int x = 0;
   for (; x + 8 <= x_end; x += 8) {
     const int sx = 2 * x;
-    const __m256 t_lo = smooth_combine(ta, tb, tc, sx, two, four);
-    const __m256 t_hi = smooth_combine(ta, tb, tc, sx + 8, two, four);
-    const __m256 u_lo = smooth_combine(b0, b1, b2, sx, two, four);
-    const __m256 u_hi = smooth_combine(b0, b1, b2, sx + 8, two, four);
+    const __m256 t_lo = smooth_combine(ta, tb, tc, sx, two, quarter);
+    const __m256 t_hi = smooth_combine(ta, tb, tc, sx + 8, two, quarter);
+    const __m256 u_lo = smooth_combine(b0, b1, b2, sx, two, quarter);
+    const __m256 u_hi = smooth_combine(b0, b1, b2, sx + 8, two, quarter);
     const __m256 s00 = _mm256_permutevar8x32_ps(
         _mm256_shuffle_ps(t_lo, t_hi, _MM_SHUFFLE(2, 0, 2, 0)), fix);
     const __m256 s10 = _mm256_permutevar8x32_ps(
@@ -117,7 +150,7 @@ void downsample_row_avx2(const float* ta, const float* tb, const float* tc,
         _mm256_shuffle_ps(u_lo, u_hi, _MM_SHUFFLE(3, 1, 3, 1)), fix);
     const __m256 sum =
         _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(s00, s10), s01), s11);
-    _mm256_storeu_ps(dst + x, _mm256_div_ps(sum, four));
+    _mm256_storeu_ps(dst + x, _mm256_mul_ps(sum, quarter));
   }
   ref::downsample_row(ta + 2 * x, tb + 2 * x, tc + 2 * x, b0 + 2 * x,
                       b1 + 2 * x, b2 + 2 * x, dst + x, x_end - x);
@@ -175,61 +208,123 @@ inline __m256 bilerp8(__m256 p00, __m256 p10, __m256 p01, __m256 p11,
       top, _mm256_mul_ps(_mm256_set1_ps(fy), _mm256_sub_ps(bot, top)));
 }
 
+/// The four bilinear corners of up to 8 lanes, gathered at element
+/// indices `base`, `base + 1`, `base + w` and `base + w + 1`. Lanes that
+/// `mask` turns off never gather (no memory access) and read 0.
+struct Corners {
+  __m256 p00, p10, p01, p11;
+};
+
+inline Corners gather_corners(const float* pix, int w, __m256i base,
+                              __m256i mask) {
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i basew = _mm256_add_epi32(base, _mm256_set1_epi32(w));
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 m = _mm256_castsi256_ps(mask);
+  return {_mm256_mask_i32gather_ps(zero, pix, base, m, 4),
+          _mm256_mask_i32gather_ps(zero, pix, _mm256_add_epi32(base, one), m, 4),
+          _mm256_mask_i32gather_ps(zero, pix, basew, m, 4),
+          _mm256_mask_i32gather_ps(zero, pix, _mm256_add_epi32(basew, one), m, 4)};
+}
+
+/// A byte plane has no byte gather: gather the 32-bit word at each byte
+/// address (scale 1) and keep its low byte. The word reaches three bytes
+/// past the tap, which kLkByteOverread tells the caller to keep readable.
+inline __m256 gather_byte(const std::uint8_t* pix, __m256i index, __m256i mask) {
+  const __m256i words = _mm256_mask_i32gather_epi32(
+      _mm256_setzero_si256(), reinterpret_cast<const int*>(pix), index, mask, 1);
+  return _mm256_cvtepi32_ps(_mm256_and_si256(words, _mm256_set1_epi32(0xFF)));
+}
+
+inline Corners gather_corners(const std::uint8_t* pix, int w, __m256i base,
+                              __m256i mask) {
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i basew = _mm256_add_epi32(base, _mm256_set1_epi32(w));
+  return {gather_byte(pix, base, mask),
+          gather_byte(pix, _mm256_add_epi32(base, one), mask),
+          gather_byte(pix, basew, mask),
+          gather_byte(pix, _mm256_add_epi32(basew, one), mask)};
+}
+
+/// Eight consecutive pixels from `p` as floats.
+inline __m256 load8(const float* p) { return _mm256_loadu_ps(p); }
+inline __m256 load8(const std::uint8_t* p) {
+  return _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+}
+
 /// Bilinear sample of up to 8 x-positions sharing one y coordinate.
 /// Mirrors ref::bilinear_unchecked per lane: truncation == floor because
 /// interior coordinates are non-negative, and the lerp operand order is
 /// identical. `mask` lanes that are off never gather (no memory access).
-inline __m256 bilinear8(const float* pix, int w, __m256 xv, float y,
-                        __m256 mask) {
+template <typename T>
+inline __m256 bilinear8(const T* pix, int w, __m256 xv, float y, __m256i mask) {
   const __m256i x0i = _mm256_cvttps_epi32(xv);
   const int y0 = static_cast<int>(y);
   const __m256 fx = _mm256_sub_ps(xv, _mm256_cvtepi32_ps(x0i));
   const float fy = y - static_cast<float>(y0);
   const __m256i base = _mm256_add_epi32(x0i, _mm256_set1_epi32(y0 * w));
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i vw = _mm256_set1_epi32(w);
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 p00 = _mm256_mask_i32gather_ps(zero, pix, base, mask, 4);
-  const __m256 p10 = _mm256_mask_i32gather_ps(
-      zero, pix, _mm256_add_epi32(base, one), mask, 4);
-  const __m256i basew = _mm256_add_epi32(base, vw);
-  const __m256 p01 = _mm256_mask_i32gather_ps(zero, pix, basew, mask, 4);
-  const __m256 p11 = _mm256_mask_i32gather_ps(
-      zero, pix, _mm256_add_epi32(basew, one), mask, 4);
-  return bilerp8(p00, p10, p01, p11, fx, fy);
+  const Corners c = gather_corners(pix, w, base, mask);
+  return bilerp8(c.p00, c.p10, c.p01, c.p11, fx, fy);
+}
+
+/// The bilinear sample of eight lanes whose truncated columns are
+/// `first`, first + 1, ..., first + 7: four unaligned loads of eight
+/// consecutive pixels instead of four (slow) gathers.
+template <typename T>
+inline __m256 bilinear8_loads(const T* pix, int w, __m256 xv, __m256i x0i,
+                              int first, float y) {
+  const int y0 = static_cast<int>(y);
+  const __m256 fx = _mm256_sub_ps(xv, _mm256_cvtepi32_ps(x0i));
+  const float fy = y - static_cast<float>(y0);
+  const T* base = pix + static_cast<std::ptrdiff_t>(y0) * w + first;
+  return bilerp8(load8(base), load8(base + 1), load8(base + w),
+                 load8(base + w + 1), fx, fy);
+}
+
+/// True when the lanes' truncated columns are consecutive; `first` is
+/// lane 0's.
+inline bool consecutive(__m256i x0i, int& first) {
+  first = _mm_cvtsi128_si32(_mm256_castsi256_si128(x0i));
+  const __m256i consec = _mm256_cmpeq_epi32(
+      x0i, _mm256_add_epi32(_mm256_set1_epi32(first), lane_index()));
+  return _mm256_movemask_ps(_mm256_castsi256_ps(consec)) == 0xFF;
 }
 
 /// Full-group (8 live lanes) bilinear sample. The lanes' x coordinates are
 /// px plus eight consecutive integers, so after truncation the fetch
-/// columns are *usually* x0, x0+1, ..., x0+7 — four unaligned loads
-/// instead of four (slow) gathers. "Usually" because float rounding of
-/// px + k near an integer boundary can make adjacent lanes truncate
-/// non-consecutively; the cmpeq check catches that and falls back to the
-/// gather path, keeping the fetched addresses — and therefore the bits —
-/// exactly what the scalar reference touches. fx/fy come from the same
-/// per-lane arithmetic on either path.
-inline __m256 bilinear8_full(const float* pix, int w, __m256 xv, float y) {
+/// columns are *usually* x0, x0+1, ..., x0+7 — loads instead of gathers.
+/// "Usually" because float rounding of px + k near an integer boundary
+/// can make adjacent lanes truncate non-consecutively; the check catches
+/// that and falls back to the gather path, keeping the fetched addresses
+/// — and therefore the bits — exactly what the scalar reference touches.
+/// fx/fy come from the same per-lane arithmetic on either path.
+template <typename T>
+inline __m256 bilinear8_full(const T* pix, int w, __m256 xv, float y) {
   const __m256i x0i = _mm256_cvttps_epi32(xv);
-  const __m256i lane = lane_index();
-  const int first = _mm_cvtsi128_si32(_mm256_castsi256_si128(x0i));
-  const __m256i consec =
-      _mm256_cmpeq_epi32(x0i, _mm256_add_epi32(_mm256_set1_epi32(first), lane));
-  if (_mm256_movemask_ps(_mm256_castsi256_ps(consec)) != 0xFF) {
-    return bilinear8(pix, w, xv, y,
-                     _mm256_castsi256_ps(_mm256_set1_epi32(-1)));
-  }
-  const int y0 = static_cast<int>(y);
-  const __m256 fx = _mm256_sub_ps(xv, _mm256_cvtepi32_ps(x0i));
-  const float fy = y - static_cast<float>(y0);
-  const float* base = pix + static_cast<std::ptrdiff_t>(y0) * w + first;
-  const __m256 p00 = _mm256_loadu_ps(base);
-  const __m256 p10 = _mm256_loadu_ps(base + 1);
-  const __m256 p01 = _mm256_loadu_ps(base + w);
-  const __m256 p11 = _mm256_loadu_ps(base + w + 1);
-  return bilerp8(p00, p10, p01, p11, fx, fy);
+  int first = 0;
+  if (consecutive(x0i, first)) return bilinear8_loads(pix, w, xv, x0i, first, y);
+  return bilinear8(pix, w, xv, y, _mm256_set1_epi32(-1));
 }
 
-void lk_sample_window_avx2(const float* pix, int w, float px, float py, int r,
+/// A window row's last, partial group (`mask` = its live lanes). A float
+/// plane gathers the live lanes only. A byte plane loads eight lanes when
+/// they are consecutive, as full groups do: the dead lanes' loads stay
+/// within kLkByteOverread bytes past the plane (their values are never
+/// stored), and a load is much cheaper than a gather.
+template <typename T>
+inline __m256 bilinear8_tail(const T* pix, int w, __m256 xv, float y,
+                             __m256i mask) {
+  if constexpr (std::is_same_v<T, std::uint8_t>) {
+    const __m256i x0i = _mm256_cvttps_epi32(xv);
+    int first = 0;
+    if (consecutive(x0i, first)) return bilinear8_loads(pix, w, xv, x0i, first, y);
+  }
+  return bilinear8(pix, w, xv, y, mask);
+}
+
+template <typename T>
+void lk_sample_window_avx2(const T* pix, int w, float px, float py, int r,
                            float* ivals, float* ixs, float* iys) {
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 half = _mm256_set1_ps(0.5f);
@@ -259,27 +354,26 @@ void lk_sample_window_avx2(const float* pix, int w, float px, float py, int r,
         _mm256_storeu_ps(iys + idx, iy);
         continue;
       }
-      const __m256i maski =
-          _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
-      const __m256 mask = _mm256_castsi256_ps(maski);
-      const __m256 v = bilinear8(pix, w, xv, sy, mask);
+      const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
+      const __m256 v = bilinear8_tail(pix, w, xv, sy, mask);
       const __m256 ix = _mm256_mul_ps(
-          _mm256_sub_ps(bilinear8(pix, w, _mm256_add_ps(xv, one), sy, mask),
-                        bilinear8(pix, w, _mm256_sub_ps(xv, one), sy, mask)),
+          _mm256_sub_ps(bilinear8_tail(pix, w, _mm256_add_ps(xv, one), sy, mask),
+                        bilinear8_tail(pix, w, _mm256_sub_ps(xv, one), sy, mask)),
           half);
       const __m256 iy = _mm256_mul_ps(
-          _mm256_sub_ps(bilinear8(pix, w, xv, sy + 1.0f, mask),
-                        bilinear8(pix, w, xv, sy - 1.0f, mask)),
+          _mm256_sub_ps(bilinear8_tail(pix, w, xv, sy + 1.0f, mask),
+                        bilinear8_tail(pix, w, xv, sy - 1.0f, mask)),
           half);
-      _mm256_maskstore_ps(ivals + idx, maski, v);
-      _mm256_maskstore_ps(ixs + idx, maski, ix);
-      _mm256_maskstore_ps(iys + idx, maski, iy);
+      _mm256_maskstore_ps(ivals + idx, mask, v);
+      _mm256_maskstore_ps(ixs + idx, mask, ix);
+      _mm256_maskstore_ps(iys + idx, mask, iy);
       idx -= 8 - static_cast<std::size_t>(live);
     }
   }
 }
 
-void lk_sample_patch_avx2(const float* pix, int w, float base_x, float base_y,
+template <typename T>
+void lk_sample_patch_avx2(const T* pix, int w, float base_x, float base_y,
                           int r, float* jvals) {
   const __m256i lane = lane_index();
   std::size_t idx = 0;
@@ -294,11 +388,8 @@ void lk_sample_patch_avx2(const float* pix, int w, float base_x, float base_y,
         _mm256_storeu_ps(jvals + idx, bilinear8_full(pix, w, xv, jy));
         continue;
       }
-      const __m256i maski =
-          _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
-      const __m256 v =
-          bilinear8(pix, w, xv, jy, _mm256_castsi256_ps(maski));
-      _mm256_maskstore_ps(jvals + idx, maski, v);
+      const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(live), lane);
+      _mm256_maskstore_ps(jvals + idx, mask, bilinear8_tail(pix, w, xv, jy, mask));
       idx -= 8 - static_cast<std::size_t>(live);
     }
   }
@@ -509,7 +600,9 @@ const SimdOps* avx2_ops() {
   static const SimdOps ops = {
       Isa::kAvx2,          filter_row_avx2,  filter_col_avx2,
       sobel_row_avx2,      downsample_row_avx2, min_eig_row_avx2,
-      lk_sample_window_avx2, lk_sample_patch_avx2, hash_unit_row_avx2,
+      lk_sample_window_avx2<float>, lk_sample_patch_avx2<float>,
+      lk_sample_window_avx2<std::uint8_t>, lk_sample_patch_avx2<std::uint8_t>,
+      hash_unit_row_avx2,
       background_row_avx2, object_row_avx2, noise_row_avx2,
   };
   return &ops;

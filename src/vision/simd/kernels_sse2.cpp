@@ -161,7 +161,9 @@ const SimdOps* sse2_ops() {
   static const SimdOps ops = {
       Isa::kSse2,          filter_row_sse2,  filter_col_sse2,
       sobel_row_sse2,      downsample_row_sse2, min_eig_row_sse2,
-      ref::lk_sample_window, ref::lk_sample_patch, ref::hash_unit_row,
+      ref::lk_sample_window<float>, ref::lk_sample_patch<float>,
+      ref::lk_sample_window<std::uint8_t>, ref::lk_sample_patch<std::uint8_t>,
+      ref::hash_unit_row,
       ref::background_row, ref::object_row,   ref::noise_row,
   };
   return &ops;

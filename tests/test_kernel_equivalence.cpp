@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "detect/detection.h"
@@ -60,6 +64,19 @@ void expect_identical(const Image<T>& a, const Image<T>& b) {
   ASSERT_EQ(a.height(), b.height());
   // operator== on the pixel vectors is an exact byte comparison.
   EXPECT_TRUE(a.pixels() == b.pixels());
+}
+
+/// Level `l` of `pyr` as a float image, every tile built first; level 0
+/// reads as `to_float` of its bytes.
+ImageF32 level_image(const ImagePyramid& pyr, int l) {
+  const geometry::Size size = pyr.level_size(l);
+  ImageF32 out(size.width, size.height);
+  pyr.materialize_all();
+  for (std::size_t k = 0; k < out.pixels().size(); ++k) {
+    out.pixels()[k] = l == 0 ? static_cast<float>(pyr.base_pixels()[k])
+                             : pyr.level_pixels(l)[k];
+  }
+  return out;
 }
 
 TEST(KernelEquivalence, RowParallelKernelsAreBitExact) {
@@ -128,7 +145,7 @@ TEST(KernelEquivalence, PyramidAndFlowAreBitExactAcrossThreadCounts) {
   const ImagePyramid pap(a, 3, 16, parallel4());
   ASSERT_EQ(pas.levels(), pap.levels());
   for (int l = 0; l < pas.levels(); ++l) {
-    expect_identical(pas.level(l), pap.level(l));
+    expect_identical(level_image(pas, l), level_image(pap, l));
   }
 
   const ImagePyramid pbs(b, 3, 16, serial());
@@ -524,21 +541,405 @@ TEST(SimdRender, RowKernelsMatchReference) {
   }
 }
 
-TEST(KernelEquivalence, TrackerReusesPyramidForRepeatedReferenceFrame) {
-  const ImageU8 frame = test_frame(160, 120, 21);
-  track::TrackerParams params;
-  track::ObjectTracker tracker(params);
-  std::vector<detect::Detection> dets;
-  detect::Detection d;
-  d.box = {30.0f, 30.0f, 40.0f, 40.0f};
-  dets.push_back(d);
-  tracker.set_reference(frame, dets);
-  // Same frame again: the stored pyramid must be reused; behaviour (boxes,
-  // features) is unchanged either way.
-  tracker.set_reference(frame, dets);
-  EXPECT_TRUE(tracker.has_reference());
-  const auto boxes = tracker.current_boxes();
-  ASSERT_EQ(boxes.size(), 1u);
+// Taking the frame just tracked as the new reference must behave exactly
+// like a fresh tracker given that frame: set_reference copies the frame
+// into a new reference pyramid whatever the tracker held before.
+TEST(KernelEquivalence, ReferenceOnTrackedFrameMatchesFreshTracker) {
+  video::SceneConfig cfg;
+  cfg.width = 256;
+  cfg.height = 160;
+  cfg.frame_count = 8;
+  cfg.seed = 5;
+  cfg.initial_objects = 3;
+  cfg.max_objects = 4;
+  cfg.speed_mean = 2.0;
+  const video::SyntheticVideo video(cfg);
+  auto detections = [&](int f) {
+    std::vector<detect::Detection> dets;
+    for (const auto& gt : video.ground_truth(f)) dets.push_back({gt.box, gt.cls, 1.0f});
+    return dets;
+  };
+
+  track::ObjectTracker tracker;
+  tracker.set_reference(video.render(0), detections(0));
+  tracker.track_to(video.render(1), 1);
+  tracker.track_to(video.render(2), 1);
+  tracker.set_reference(video.render(2), detections(2));
+  track::ObjectTracker fresh;
+  fresh.set_reference(video.render(2), detections(2));
+
+  for (int f = 3; f < cfg.frame_count; ++f) {
+    SCOPED_TRACE("frame " + std::to_string(f));
+    const track::TrackStepStats a = tracker.track_to(video.render(f), 1);
+    const track::TrackStepStats b = fresh.track_to(video.render(f), 1);
+    EXPECT_EQ(a.features_attempted, b.features_attempted);
+    EXPECT_EQ(a.features_tracked, b.features_tracked);
+    EXPECT_EQ(a.displacement_sum, b.displacement_sum);
+    EXPECT_EQ(a.live_objects, b.live_objects);
+    const auto boxes_a = tracker.current_boxes();
+    const auto boxes_b = fresh.current_boxes();
+    ASSERT_EQ(boxes_a.size(), boxes_b.size());
+    for (std::size_t i = 0; i < boxes_a.size(); ++i) {
+      EXPECT_EQ(boxes_a[i].box, boxes_b[i].box) << "box " << i;
+      EXPECT_EQ(boxes_a[i].cls, boxes_b[i].cls) << "box " << i;
+    }
+  }
+  EXPECT_GT(tracker.live_feature_count(), 0);
+}
+
+// ------------------------------------------------------- lazy pyramid ----
+//
+// ImagePyramid builds its upper levels tile by tile, only where LK reads
+// them (DESIGN.md §7). The oracle is the whole-frame chain the eager
+// pyramid was: to_float, then downsample2 per level.
+
+std::vector<ImageF32> whole_frame_levels(const ImageU8& frame, int levels,
+                                         int min_dimension) {
+  std::vector<ImageF32> out{to_float(frame, serial())};
+  while (static_cast<int>(out.size()) < levels &&
+         out.back().width() / 2 >= min_dimension &&
+         out.back().height() / 2 >= min_dimension) {
+    out.push_back(downsample2(out.back(), serial()));
+  }
+  return out;
+}
+
+/// Number of values of level `l` in columns [x0, x1] and rows [y0, y1]
+/// (clamped) that differ, bit for bit, from the oracle.
+int count_mismatches(const ImagePyramid& pyr, const ImageF32& oracle, int l,
+                     int x0, int y0, int x1, int y1) {
+  const int w = oracle.width();
+  x0 = std::max(x0, 0);
+  y0 = std::max(y0, 0);
+  x1 = std::min(x1, w - 1);
+  y1 = std::min(y1, oracle.height() - 1);
+  int mismatches = 0;
+  for (int y = y0; y <= y1; ++y) {
+    for (int x = x0; x <= x1; ++x) {
+      const float got = pyr.level_pixels(l)[static_cast<std::size_t>(y) * w + x];
+      if (std::memcmp(&got, &oracle.at(x, y), sizeof(float)) != 0) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+/// A lazy pyramid over `frame` whose storage was first filled, every
+/// tile, from another frame of the same size: a read of a tile nobody
+/// built then sees wrong values instead of, by luck, right ones.
+ImagePyramid stale_pyramid(const ImageU8& frame, int levels, int min_dimension,
+                           const KernelConfig& cfg) {
+  ImageU8 other = frame;
+  for (std::uint8_t& px : other.pixels()) px = static_cast<std::uint8_t>(255 - px);
+  ImagePyramid pyr(other, levels, min_dimension, cfg);
+  pyr.materialize_all();
+  pyr.rebuild(frame, levels, min_dimension, cfg);
+  return pyr;
+}
+
+std::vector<simd::Isa> available_tiers() {
+  std::vector<simd::Isa> tiers;
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
+    if (tier_available(isa)) {
+      tiers.push_back(isa);
+    } else {
+      std::cout << "[ NOTICE  ] tier " << simd::isa_name(isa)
+                << " unavailable on this host/build; skipping\n";
+    }
+  }
+  return tiers;
+}
+
+TEST(LazyPyramid, MaterializedValuesMatchWholeFrameChain) {
+  struct Case {
+    int w, h, levels, min_dimension;
+  };
+  // Odd sizes, sizes below one tile, one row of tiles, and the 720p frame
+  // plus one on each side.
+  const Case cases[] = {{131, 77, 4, 4},  {257, 131, 3, 16}, {65, 17, 4, 2},
+                        {33, 35, 5, 1},   {1281, 719, 3, 16}, {200, 3, 3, 1}};
+  std::uint64_t rng = 0x9E3779B9ULL;
+  auto next = [&rng](int n) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int>((rng >> 33) % static_cast<std::uint64_t>(n));
+  };
+  for (const simd::Isa isa : available_tiers()) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " " + std::to_string(c.w) +
+                   "x" + std::to_string(c.h));
+      const ImageU8 frame = test_frame(c.w, c.h, static_cast<std::uint32_t>(c.w * c.h));
+      const std::vector<ImageF32> oracle =
+          whole_frame_levels(frame, c.levels, c.min_dimension);
+      const ImagePyramid pyr =
+          stale_pyramid(frame, c.levels, c.min_dimension, with_isa(serial(), isa));
+      ASSERT_EQ(pyr.levels(), static_cast<int>(oracle.size()));
+      EXPECT_EQ(std::memcmp(pyr.base_pixels(), frame.pixels().data(),
+                            frame.pixels().size()), 0);
+      if (pyr.levels() < 2) continue;
+      // Random rectangles, some past the level's edges, on random levels:
+      // everything a call asked for must be the oracle's.
+      for (int k = 0; k < 60; ++k) {
+        const int l = 1 + next(pyr.levels() - 1);
+        const ImageF32& level = oracle[static_cast<std::size_t>(l)];
+        const int x0 = next(level.width() + 10) - 5;
+        const int y0 = next(level.height() + 10) - 5;
+        const int x1 = x0 + next(30);
+        const int y1 = y0 + next(30);
+        pyr.materialize(l, x0, y0, x1, y1);
+        EXPECT_EQ(count_mismatches(pyr, level, l, x0, y0, x1, y1), 0)
+            << "level " << l << " [" << x0 << ", " << x1 << "] x [" << y0
+            << ", " << y1 << "]";
+      }
+      pyr.materialize_all();
+      for (int l = 1; l < pyr.levels(); ++l) {
+        const ImageF32& level = oracle[static_cast<std::size_t>(l)];
+        EXPECT_EQ(count_mismatches(pyr, level, l, 0, 0, level.width() - 1,
+                                   level.height() - 1), 0)
+            << "level " << l;
+      }
+    }
+  }
+}
+
+/// LK through `prev`/`next` forward, then back from where it landed, the
+/// tracker's forward-backward check.
+struct RoundTrip {
+  std::vector<geometry::Point2f> fwd, back;
+  std::vector<FlowStatus> fwd_status, back_status;
+};
+
+RoundTrip round_trip(const ImagePyramid& prev, const ImagePyramid& next,
+                     const std::vector<geometry::Point2f>& pts,
+                     const LucasKanadeParams& params, const KernelConfig& cfg) {
+  RoundTrip t;
+  calc_optical_flow_pyr_lk(prev, next, pts, t.fwd, t.fwd_status, params, cfg);
+  calc_optical_flow_pyr_lk(next, prev, t.fwd, t.back, t.back_status, params, cfg);
+  return t;
+}
+
+int count_flow_mismatches(const RoundTrip& a, const RoundTrip& b) {
+  int mismatches = 0;
+  auto same = [](const std::vector<geometry::Point2f>& p,
+                 const std::vector<FlowStatus>& s,
+                 const std::vector<geometry::Point2f>& q,
+                 const std::vector<FlowStatus>& t, std::size_t i) {
+    return std::memcmp(&p[i].x, &q[i].x, sizeof(float)) == 0 &&
+           std::memcmp(&p[i].y, &q[i].y, sizeof(float)) == 0 &&
+           s[i].tracked == t[i].tracked &&
+           std::memcmp(&s[i].error, &t[i].error, sizeof(float)) == 0;
+  };
+  for (std::size_t i = 0; i < a.fwd.size(); ++i) {
+    if (!same(a.fwd, a.fwd_status, b.fwd, b.fwd_status, i) ||
+        !same(a.back, a.back_status, b.back, b.back_status, i)) {
+      if (++mismatches <= 3) ADD_FAILURE() << "point " << i;
+    }
+  }
+  return mismatches;
+}
+
+/// `frame` with a block of it moved by (6, 4) px and the rest replaced:
+/// the guesses move, so Newton windows leave the tiles the first window
+/// built.
+ImageU8 moved_block(const ImageU8& frame, std::uint32_t seed) {
+  ImageU8 out = test_frame(frame.width(), frame.height(), seed);
+  for (int y = frame.height() / 8; y < frame.height() * 3 / 4; ++y) {
+    for (int x = frame.width() / 8; x < frame.width() * 3 / 4; ++x) {
+      out.at(x + 6, y + 4) = frame.at(x, y);
+    }
+  }
+  return out;
+}
+
+TEST(LazyPyramid, FlowMatchesFullyMaterializedPyramids) {
+  std::uint64_t rng = 0xC0DEULL;
+  auto uniform = [&rng](float lo, float hi) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lo + (hi - lo) * static_cast<float>(rng >> 40) * 0x1.0p-24f;
+  };
+  auto check = [&](const ImageU8& a, const std::vector<geometry::Point2f>& pts) {
+    const ImageU8 b = moved_block(a, 43);
+    for (const int levels : {1, 2, 3, 4}) {
+      for (const int radius : {3, 5, 7, 9}) {
+        LucasKanadeParams params;
+        params.window_radius = radius;
+        const KernelConfig ref = with_isa(serial(), simd::Isa::kScalar);
+        const ImagePyramid full_a(a, levels, 8, ref);
+        const ImagePyramid full_b(b, levels, 8, ref);
+        full_a.materialize_all();
+        full_b.materialize_all();
+        ASSERT_EQ(full_a.levels(), levels);
+        const RoundTrip want = round_trip(full_a, full_b, pts, params, ref);
+        for (const simd::Isa isa : available_tiers()) {
+          for (const KernelConfig& threads : {serial(), parallel4()}) {
+            SCOPED_TRACE(std::to_string(a.width()) + "x" + std::to_string(a.height()) +
+                         " " + simd::isa_name(isa) + " " +
+                         std::to_string(threads.num_threads) + "t levels " +
+                         std::to_string(levels) + " r " + std::to_string(radius));
+            const KernelConfig cfg = with_isa(threads, isa);
+            const ImagePyramid lazy_a = stale_pyramid(a, levels, 8, cfg);
+            const ImagePyramid lazy_b = stale_pyramid(b, levels, 8, cfg);
+            EXPECT_EQ(count_flow_mismatches(
+                          round_trip(lazy_a, lazy_b, pts, params, cfg), want),
+                      0);
+          }
+        }
+      }
+    }
+  };
+
+  // A small frame: points over it and up to 40 px past its edges, a
+  // cluster whose windows share tiles, and two far off the frame.
+  {
+    const ImageU8 a = test_frame(203, 157, 41);
+    std::vector<geometry::Point2f> pts;
+    for (int i = 0; i < 70; ++i) {
+      pts.push_back({uniform(-40.0f, 243.0f), uniform(-40.0f, 197.0f)});
+    }
+    for (int i = 0; i < 20; ++i) {
+      pts.push_back({uniform(60.0f, 75.0f), uniform(50.0f, 62.0f)});
+    }
+    pts.push_back({-500.0f, 30.0f});
+    pts.push_back({30.0f, 1e6f});
+    check(a, pts);
+  }
+  // A larger frame with few points: most tiles stay unbuilt, so a window
+  // reading one pixel past what it materialized meets a tile nobody built.
+  {
+    const ImageU8 a = test_frame(640, 360, 47);
+    std::vector<geometry::Point2f> pts;
+    for (int i = 0; i < 24; ++i) {
+      pts.push_back({uniform(0.0f, 640.0f), uniform(0.0f, 360.0f)});
+    }
+    check(a, pts);
+  }
+}
+
+// Many threads asking at once for the same unbuilt tiles: one builds each
+// tile, the others wait for it, and every value is the oracle's. Labelled
+// `concurrency` (with the whole binary) so the TSan job runs it.
+TEST(LazyPyramid, ConcurrentMissesOnSharedTilesAreExact) {
+  const ImageU8 a = test_frame(320, 240, 51);
+  ImageU8 b = test_frame(320, 240, 53);
+  for (int y = 60; y < 180; ++y) {
+    for (int x = 60; x < 260; ++x) b.at(x + 3, y + 2) = a.at(x, y);
+  }
+  const std::vector<ImageF32> oracle = whole_frame_levels(a, 4, 8);
+
+  // Threads of their own, released together, each walking the same
+  // rectangles at the top level in its own order.
+  for (int round = 0; round < 8; ++round) {
+    const ImagePyramid pyr = stale_pyramid(a, 4, 8, {});
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&pyr, &go, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (int k = 0; k < 6; ++k) {
+          const int j = (k + t) % 6;
+          pyr.materialize(3, 5 * j, 2 * j, 5 * j + 12, 2 * j + 10);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) th.join();
+    for (int j = 0; j < 6; ++j) {
+      EXPECT_EQ(count_mismatches(pyr, oracle[3], 3, 5 * j, 2 * j, 5 * j + 12, 2 * j + 10), 0)
+          << "round " << round << " rectangle " << j;
+    }
+  }
+
+  // LK on the pool: a few hundred points in one small area, so the
+  // workers miss into the same tiles of fresh pyramids at every level.
+  std::vector<geometry::Point2f> pts;
+  for (int i = 0; i < 240; ++i) {
+    pts.push_back({100.0f + static_cast<float>(i % 16) * 1.7f,
+                   90.0f + static_cast<float>(i / 16) * 1.3f});
+  }
+  const ImagePyramid full_a(a, 4, 8);
+  const ImagePyramid full_b(b, 4, 8);
+  full_a.materialize_all();
+  full_b.materialize_all();
+  const RoundTrip want = round_trip(full_a, full_b, pts, {}, serial());
+  for (int round = 0; round < 4; ++round) {
+    const ImagePyramid lazy_a = stale_pyramid(a, 4, 8, {});
+    const ImagePyramid lazy_b = stale_pyramid(b, 4, 8, {});
+    EXPECT_EQ(count_flow_mismatches(round_trip(lazy_a, lazy_b, pts, {}, parallel4()),
+                                    want), 0)
+        << "round " << round;
+  }
+}
+
+// The byte-plane LK samplers against the float ones run on float(frame),
+// bit for bit, on every tier. The byte plane is allocated with exactly the
+// kLkByteOverread bytes past its end that the samplers may read, and the
+// windows reach its last column and row, so a sanitizer build catches a
+// gather reading further.
+TEST(SimdLk, U8SamplersMatchFloatSamplers) {
+  const int w = 37;
+  const int h = 23;
+  const ImageU8 frame = test_frame(w, h, 61);
+  std::vector<std::uint8_t> bytes(frame.pixels().begin(), frame.pixels().end());
+  bytes.resize(bytes.size() + simd::kLkByteOverread, 0xEE);
+  const ImageF32 floats = to_float(frame);
+  const std::uint8_t* pix8 = bytes.data();
+  const float* pixf = floats.pixels().data();
+
+  constexpr int kMaxRadius = 9;
+  constexpr std::size_t kMax = (2 * kMaxRadius + 1) * (2 * kMaxRadius + 1);
+  alignas(32) float want[3][kMax];
+  alignas(32) float got[3][kMax];
+  auto expect_same = [&](std::size_t n, int arrays) {
+    for (int k = 0; k < arrays; ++k) {
+      EXPECT_EQ(std::memcmp(want[k], got[k], n * sizeof(float)), 0) << "array " << k;
+    }
+  };
+  for (const simd::Isa isa : available_tiers()) {
+    const simd::SimdOps& ops = simd::ops_for_isa(isa);
+    for (int r = 1; r <= kMaxRadius; ++r) {
+      const std::size_t n = static_cast<std::size_t>((2 * r + 1) * (2 * r + 1));
+      // Window centres from the top-left interior corner to the
+      // bottom-right one, where the +1 gradient taps read the last column
+      // and row; fractions near 0 and 1. A centre p keeps every tap in
+      // the plane while r + 1 <= p < w - r - 2.
+      const float lo = static_cast<float>(r + 1);
+      const float hi_x = static_cast<float>(w - r - 3);
+      const float hi_y = static_cast<float>(h - r - 3);
+      if (hi_x < lo || hi_y < lo) continue;
+      for (const float fx : {0.0f, 0.25f, 0.999f}) {
+        for (const float fy : {0.0f, 0.5f, 0.999f}) {
+          for (const auto& [px, py] :
+               {std::pair{lo + fx, lo + fy}, std::pair{hi_x + fx, hi_y + fy},
+                std::pair{lo + fx, hi_y + fy}, std::pair{hi_x + fx, lo + fy}}) {
+            SCOPED_TRACE(std::string(simd::isa_name(isa)) + " r " +
+                         std::to_string(r) + " at " + std::to_string(px) + ", " +
+                         std::to_string(py));
+            ops.lk_sample_window(pixf, w, px, py, r, want[0], want[1], want[2]);
+            ops.lk_sample_window_u8(pix8, w, px, py, r, got[0], got[1], got[2]);
+            expect_same(n, 3);
+            simd::ref::lk_sample_window(pixf, w, px, py, r, got[0], got[1], got[2]);
+            expect_same(n, 3);
+            // The patch sampler's taps reach one column and row further.
+            ops.lk_sample_patch(pixf, w, px + 1.0f, py + 1.0f, r, want[0]);
+            ops.lk_sample_patch_u8(pix8, w, px + 1.0f, py + 1.0f, r, got[0]);
+            expect_same(n, 1);
+          }
+        }
+      }
+    }
+  }
+
+  // Border windows: the clamped sampler on bytes and on floats, around
+  // and past every edge.
+  int mismatches = 0;
+  for (float y = -3.5f; y <= static_cast<float>(h) + 3.0f; y += 0.75f) {
+    for (float x = -3.25f; x <= static_cast<float>(w) + 3.0f; x += 0.625f) {
+      const float a = sample_bilinear(frame, x, y);
+      const float b = sample_bilinear(floats, x, y);
+      if (std::memcmp(&a, &b, sizeof(float)) != 0 && ++mismatches <= 3) {
+        ADD_FAILURE() << "at " << x << ", " << y << ": " << a << " vs " << b;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -177,10 +178,10 @@ TEST(Pyramid, LevelDimensionsHalve) {
   ImageU8 base(64, 48);
   ImagePyramid pyr(base, 3, /*min_dimension=*/8);
   ASSERT_EQ(pyr.levels(), 3);
-  EXPECT_EQ(pyr.level(0).width(), 64);
-  EXPECT_EQ(pyr.level(1).width(), 32);
-  EXPECT_EQ(pyr.level(2).width(), 16);
-  EXPECT_EQ(pyr.level(2).height(), 12);
+  EXPECT_EQ(pyr.level_size(0).width, 64);
+  EXPECT_EQ(pyr.level_size(1).width, 32);
+  EXPECT_EQ(pyr.level_size(2).width, 16);
+  EXPECT_EQ(pyr.level_size(2).height, 12);
 }
 
 TEST(Pyramid, StopsAtMinDimension) {
@@ -202,12 +203,19 @@ TEST(ImagePyramid, RebuildIntoReusedLevelsMatchesFresh) {
       }
     }
     reused.rebuild(base, 3, 16);
+    reused.materialize_all();
     const ImagePyramid fresh(base, 3, 16);
+    fresh.materialize_all();
     SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
     ASSERT_EQ(reused.levels(), fresh.levels());
-    for (int l = 0; l < fresh.levels(); ++l) {
-      EXPECT_EQ(reused.level(l).size(), fresh.level(l).size());
-      EXPECT_TRUE(reused.level(l).pixels() == fresh.level(l).pixels());
+    EXPECT_EQ(std::memcmp(reused.base_pixels(), fresh.base_pixels(),
+                          static_cast<std::size_t>(w) * h), 0);
+    for (int l = 1; l < fresh.levels(); ++l) {
+      const geometry::Size size = fresh.level_size(l);
+      ASSERT_EQ(reused.level_size(l), size);
+      EXPECT_EQ(std::memcmp(reused.level_pixels(l), fresh.level_pixels(l),
+                            sizeof(float) * static_cast<std::size_t>(size.width) *
+                                static_cast<std::size_t>(size.height)), 0);
     }
   }
   EXPECT_EQ(reused.levels(), 1);  // 20x20: a 10x10 level is below 16
@@ -218,6 +226,18 @@ TEST(ImagePyramid, RebuildIntoReusedLevelsMatchesFresh) {
 TEST(Pyramid, EmptyInput) {
   ImagePyramid pyr(ImageU8{}, 3);
   EXPECT_TRUE(pyr.empty());
+}
+
+TEST(Pyramid, MovedFromIsEmpty) {
+  ImagePyramid a(ImageU8(40, 40, 7), 2, 8);
+  ImagePyramid b(std::move(a));
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): the state under test
+  EXPECT_EQ(b.levels(), 2);
+  ImagePyramid c;
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.levels(), 2);
+  EXPECT_EQ(c.base_pixels()[0], 7);
 }
 
 TEST(Drawing, BoxOutline) {
