@@ -9,7 +9,8 @@
 //    runs per step: two pyramids rebuilt and LK on 35 points in three
 //    boxes, building only the tiles LK reads.
 //  * Thread sweep — 1/2/4/N threads at the auto-dispatched ISA, speedup vs
-//    the serial path (the historical sweep).
+//    the serial path, for the rows that split: LK's points are the vision
+//    layer's one parallel region.
 //  * The synthetic camera — its hash row (1280 values) and one serial
 //    render of a 1280x720 scene like bench_e2e's adavp-720p, whole and per
 //    pass (background, objects, sensor noise), on every tier; and renders
@@ -231,26 +232,15 @@ int main(int argc, char** argv) {
   struct Kernel {
     std::string name;
     KernelOp op;
-    bool thread_sweep = true;  ///< false: a serial kernel, ISA sweep only
+    bool thread_sweep = false;  ///< true: LK, the one kernel that splits
   };
   std::vector<Kernel> kernels;
   // Every tile of every level: the work of the eager whole-frame build the
-  // gate's floor was set on. The tiles are built on the calling thread, so
-  // the row is in the ISA sweep only.
-  kernels.push_back({"pyramid_build",
-                     [&](const vision::KernelConfig& cfg) {
+  // gate's floor was set on, on the calling thread.
+  kernels.push_back({"pyramid_build", [&](const vision::KernelConfig& cfg) {
                        vision::ImagePyramid pyr(frame_a, 3, 16, cfg);
                        pyr.materialize_all();
                        if (pyr.levels() == 0) std::abort();
-                     },
-                     /*thread_sweep=*/false});
-  kernels.push_back({"smooth3", [&](const vision::KernelConfig& cfg) {
-                       volatile float sink = vision::smooth3(frame_f, cfg).at(1, 1);
-                       (void)sink;
-                     }});
-  kernels.push_back({"smooth5", [&](const vision::KernelConfig& cfg) {
-                       volatile float sink = vision::smooth5(frame_f, cfg).at(1, 1);
-                       (void)sink;
                      }});
   kernels.push_back({"sobel", [&](const vision::KernelConfig& cfg) {
                        vision::ImageF32 gx, gy;
@@ -300,7 +290,8 @@ int main(int argc, char** argv) {
                        std::vector<vision::FlowStatus> status;
                        vision::calc_optical_flow_pyr_lk(pa, pb, points, out,
                                                         status, {}, cfg);
-                     }});
+                     },
+                     /*thread_sweep=*/true});
   // The tracker's path: both frames copied into reused pyramids, then LK on
   // 35 features in the three boxes above, building the tiles it reads.
   std::vector<geometry::Point2f> box_points;
@@ -326,16 +317,15 @@ int main(int argc, char** argv) {
                        vision::calc_optical_flow_pyr_lk(track_a, track_b,
                                                         box_points, out, status,
                                                         {}, cfg);
-                     }});
+                     },
+                     /*thread_sweep=*/true});
 
   // The camera's sensor-noise / lattice-corner hash over one 720p row.
   std::vector<float> hash_out(1280);
-  kernels.push_back({"hash_unit_row",
-                     [&](const vision::KernelConfig& cfg) {
+  kernels.push_back({"hash_unit_row", [&](const vision::KernelConfig& cfg) {
                        vision::simd::ops_for_isa(cfg.isa).hash_unit_row(
                            0x5EEDULL, -640, 357, 1280, hash_out.data());
-                     },
-                     /*thread_sweep=*/false});
+                     }});
 
   // ---- ISA sweep: every tier, one thread, speedup vs scalar -------------
   // tiers[0] is the scalar reference: every build and CPU can run it.

@@ -40,8 +40,8 @@ struct RealtimeOptions {
   /// the schedule is shape-preserving.
   double time_scale = 1.0;
   std::uint64_t seed = 1234;
-  /// Tracker tuning, including the vision-kernel parallelism
-  /// (`tracker.kernels.num_threads`) used on the tracker thread.
+  /// Tracker tuning, including the threads LK's points use
+  /// (`tracker.kernels.num_threads`) on the tracker thread.
   track::TrackerParams tracker;
   /// Non-null => deterministic fault injection: the plan's "detector"
   /// channel wraps the detector (detect::FaultyDetector), its "camera"

@@ -31,7 +31,7 @@ struct TrackerParams {
   float fb_threshold = 1.0f;
   vision::LucasKanadeParams lk;
   /// Kernel settings of the tracking hot path. The ISA tier applies to
-  /// Shi-Tomasi, the pyramid tiles and LK; the thread settings apply to
+  /// Shi-Tomasi, the pyramid tiles and LK; `num_threads` applies only to
   /// LK's points, which run on the shared kernel pool at hardware width by
   /// default (`num_threads = 1` runs them on the caller). Shi-Tomasi's box
   /// tiles run on the calling thread, and a pyramid tile is built by the

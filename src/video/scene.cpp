@@ -404,14 +404,14 @@ void SyntheticVideo::render_into(int index, vision::ImageU8& out) const {
       0, config_.height, grain, /*max_parallelism=*/0, std::cref(rows));
 }
 
-void SyntheticVideo::precache(int num_threads) {
+void SyntheticVideo::precache() {
   if (!cache_.empty()) return;
   std::vector<vision::ImageU8> cache(static_cast<std::size_t>(config_.frame_count));
   // Frame-parallel: frames are independent lookups into the precomputed
   // trajectories, so any schedule produces bit-identical caches (pinned by
-  // SyntheticVideoTest.ParallelPrecacheIsBitIdentical).
+  // SyntheticVideoTest.ParallelPrecacheBitIdenticalToSerial).
   util::ThreadPool::shared().parallel_for(
-      0, config_.frame_count, /*grain=*/1, num_threads,
+      0, config_.frame_count, /*grain=*/1, /*max_parallelism=*/0,
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t f = begin; f < end; ++f) {
           cache[static_cast<std::size_t>(f)] = rasterize(static_cast<int>(f));

@@ -118,11 +118,11 @@ class SyntheticVideo {
 
   /// Pre-renders every frame into an in-memory cache so subsequent
   /// `render` calls are O(copy) and FrameStore refs alias the cache with
-  /// no copy at all. Rasterization is parallelized over frames on the
-  /// shared util::ThreadPool (`num_threads` 0 = all hardware threads, 1 =
-  /// serial; output is bit-identical either way). The cache is read-only
-  /// afterwards and safe to share across threads.
-  void precache(int num_threads = 0);
+  /// no copy at all. Rasterization is parallelized over frames on all of
+  /// the shared util::ThreadPool; every frame is bit-identical to a serial
+  /// `render`. The cache is read-only afterwards and safe to share across
+  /// threads.
+  void precache();
   bool is_precached() const { return !cache_.empty(); }
 
   /// The precached raster of frame `index`, or nullptr when not precached.

@@ -47,27 +47,25 @@ void min_eig_plane(const float* gxp, const float* gyp, int w, int h,
   const simd::SimdOps& ops = simd::ops_for(config);
   const int x_interior_begin = std::min(radius, w);
   const int x_interior_end = std::max(x_interior_begin, w - radius);
-  parallel_rows(h, config, [&](int y0, int y1) {
-    for (int y = y0; y < y1; ++y) {
-      float* drow = dst + static_cast<std::size_t>(y) * w;
-      const bool row_interior = y >= radius && y < h - radius;
-      if (row_interior) {
-        // Interior: the block never clamps => dispatched row-pointer walks.
-        for (int x = 0; x < x_interior_begin; ++x) {
-          drow[x] = min_eig_clamped(gxp, gyp, w, h, x, y, radius);
-        }
-        ops.min_eig_row(gxp, gyp, w, y, radius, dst, x_interior_begin,
-                        x_interior_end);
-        for (int x = x_interior_end; x < w; ++x) {
-          drow[x] = min_eig_clamped(gxp, gyp, w, h, x, y, radius);
-        }
-      } else {
-        for (int x = 0; x < w; ++x) {
-          drow[x] = min_eig_clamped(gxp, gyp, w, h, x, y, radius);
-        }
+  for (int y = 0; y < h; ++y) {
+    float* drow = dst + static_cast<std::size_t>(y) * w;
+    const bool row_interior = y >= radius && y < h - radius;
+    if (row_interior) {
+      // Interior: the block never clamps => dispatched row-pointer walks.
+      for (int x = 0; x < x_interior_begin; ++x) {
+        drow[x] = min_eig_clamped(gxp, gyp, w, h, x, y, radius);
+      }
+      ops.min_eig_row(gxp, gyp, w, y, radius, dst, x_interior_begin,
+                      x_interior_end);
+      for (int x = x_interior_end; x < w; ++x) {
+        drow[x] = min_eig_clamped(gxp, gyp, w, h, x, y, radius);
+      }
+    } else {
+      for (int x = 0; x < w; ++x) {
+        drow[x] = min_eig_clamped(gxp, gyp, w, h, x, y, radius);
       }
     }
-  });
+  }
 }
 
 /// Half-open pixel rectangle [x0, x1) x [y0, y1) in frame coordinates.
@@ -172,8 +170,6 @@ std::vector<geometry::Point2f> good_features_to_track(
                      nullptr});
   }
 
-  KernelConfig serial = params.kernels;
-  serial.num_threads = 1;
   util::ScratchArena& arena = util::ScratchArena::thread_local_arena();
   const util::ScratchArena::Scope scope(arena);
   float best = 0.0f;
@@ -192,8 +188,8 @@ std::vector<geometry::Point2f> good_features_to_track(
         float* dst = f + static_cast<std::size_t>(y) * tw;
         for (int x = 0; x < tw; ++x) dst[x] = static_cast<float>(src[x]);
       }
-      sobel_plane(f, tw, th, gx, gy, serial);
-      min_eig_plane(gx, gy, tw, th, radius, t.scores, serial);
+      sobel_plane(f, tw, th, gx, gy, params.kernels);
+      min_eig_plane(gx, gy, tw, th, radius, t.scores, params.kernels);
     }
     for (int y = t.core.y0; y < t.core.y1; ++y) {
       const float* srow =

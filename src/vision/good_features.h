@@ -17,15 +17,16 @@ struct GoodFeaturesParams {
   double quality_level = 0.01;  ///< accept score >= quality * best score
   double min_distance = 7.0;    ///< minimum spacing between kept corners
   int block_size = 3;           ///< structure-tensor window radius-ish (3 => 3x3)
-  /// ISA tier of the score kernels. The box tiles are scored on the
-  /// calling thread whatever `num_threads` says: dispatching them to the
-  /// pool measured slower at 384x216 and at 1280x720.
+  /// ISA tier of the score kernels; `num_threads` does not apply. The box
+  /// tiles are scored on the calling thread: dispatching them to the pool
+  /// measured slower at 384x216 and at 1280x720.
   KernelConfig kernels;
 };
 
 /// Shi-Tomasi corner response: the smaller eigenvalue of the 2x2 structure
-/// tensor accumulated over a block around each pixel. Exposed for tests and
-/// for reuse by the feature extractor.
+/// tensor accumulated over a block around each pixel, on the calling
+/// thread with `config`'s ISA tier. The whole-frame oracle the tiled
+/// detector is tested against.
 ImageF32 min_eigenvalue_map(const ImageF32& img, int block_size,
                             const KernelConfig& config = {});
 

@@ -69,12 +69,6 @@ void filter_row_horizontal(const float* src, float* dst, int w, int x_begin,
   clamped(std::max(x_begin, interior_end), x_end);
 }
 
-void filter_row_horizontal(const float* src, float* dst, int w,
-                           const float* kernel, int radius, float norm,
-                           const simd::SimdOps& ops) {
-  filter_row_horizontal(src, dst, w, 0, w, kernel, radius, norm, ops);
-}
-
 /// dst[i] = float(src[i]) for i in [0, n). The restrict qualifiers tell
 /// the compiler the float stores cannot change the bytes, so it
 /// vectorizes the loop.
@@ -161,49 +155,6 @@ void downsample2_rect_impl(const T* src, int w, int h, float* dst, int x0,
   }
 }
 
-/// Separable smoothing with a symmetric odd kernel normalized by `norm`.
-/// Both passes are row-parallel; rows are independent, so every thread
-/// count produces bit-identical output.
-ImageF32 separable(const ImageF32& img, const float* kernel, int radius,
-                   float norm, const KernelConfig& config) {
-  const int w = img.width();
-  const int h = img.height();
-  const simd::SimdOps& ops = simd::ops_for(config);
-  ImageF32 tmp(w, h);
-  const float* src = img.pixels().data();
-  float* mid = tmp.pixels().data();
-  parallel_rows(h, config, [&](int y0, int y1) {
-    for (int y = y0; y < y1; ++y) {
-      filter_row_horizontal(src + static_cast<std::size_t>(y) * w,
-                            mid + static_cast<std::size_t>(y) * w, w, kernel,
-                            radius, norm, ops);
-    }
-  });
-
-  ImageF32 out(w, h);
-  float* dst = out.pixels().data();
-  parallel_rows(h, config, [&](int y0, int y1) {
-    for (int y = y0; y < y1; ++y) {
-      float* drow = dst + static_cast<std::size_t>(y) * w;
-      if (y >= radius && y < h - radius) {
-        // Interior rows: the vertical window never clamps.
-        ops.filter_col(mid + static_cast<std::size_t>(y) * w, w, drow, w,
-                       kernel, radius, norm);
-      } else {
-        for (int x = 0; x < w; ++x) {
-          float acc = 0.0f;
-          for (int k = -radius; k <= radius; ++k) {
-            const int yy = std::clamp(y + k, 0, h - 1);
-            acc += kernel[k + radius] * mid[static_cast<std::size_t>(yy) * w + x];
-          }
-          drow[x] = acc / norm;
-        }
-      }
-    }
-  });
-  return out;
-}
-
 }  // namespace
 
 float sample_bilinear(const ImageF32& img, float x, float y) {
@@ -222,19 +173,10 @@ float sample_bilinear(const std::uint8_t* pix, int w, int h, float x, float y) {
   return sample_bilinear_impl(pix, w, h, x, y);
 }
 
-ImageF32 to_float(const ImageU8& img, const KernelConfig& config) {
-  const int w = img.width();
-  const int h = img.height();
-  ImageF32 out(w, h);
-  const std::uint8_t* src = img.pixels().data();
-  float* dst = out.pixels().data();
-  parallel_rows(h, config, [&](int y0, int y1) {
-    const std::size_t begin = static_cast<std::size_t>(y0) * w;
-    const std::size_t end = static_cast<std::size_t>(y1) * w;
-    for (std::size_t i = begin; i < end; ++i) {
-      dst[i] = static_cast<float>(src[i]);
-    }
-  });
+ImageF32 to_float(const ImageU8& img) {
+  ImageF32 out(img.width(), img.height());
+  bytes_to_floats(img.pixels().data(), out.pixels().data(),
+                  static_cast<int>(img.pixels().size()));
   return out;
 }
 
@@ -247,16 +189,6 @@ ImageU8 to_u8(const ImageF32& img) {
     }
   }
   return out;
-}
-
-ImageF32 smooth3(const ImageF32& img, const KernelConfig& config) {
-  static const float kKernel[3] = {1.0f, 2.0f, 1.0f};
-  return separable(img, kKernel, 1, 4.0f, config);
-}
-
-ImageF32 smooth5(const ImageF32& img, const KernelConfig& config) {
-  static const float kKernel[5] = {1.0f, 4.0f, 6.0f, 4.0f, 1.0f};
-  return separable(img, kKernel, 2, 16.0f, config);
 }
 
 void sobel(const ImageF32& img, ImageF32& grad_x, ImageF32& grad_y,
@@ -288,25 +220,23 @@ void sobel_plane(const float* src, int w, int h, float* gx, float* gy,
   };
 
   const simd::SimdOps& ops = simd::ops_for(config);
-  parallel_rows(h, config, [&](int y0, int y1) {
-    for (int y = y0; y < y1; ++y) {
-      if (y == 0 || y == h - 1 || w < 3) {
-        for (int x = 0; x < w; ++x) border_pixel_pair(x, y);
-        continue;
-      }
-      border_pixel_pair(0, y);
-      // Interior: three raw row pointers, no bounds checks, dispatched to
-      // the SIMD tier. Same per-element operand order as the clamped
-      // expression => identical floats.
-      const float* rm = src + static_cast<std::size_t>(y - 1) * w;
-      const float* rc = src + static_cast<std::size_t>(y) * w;
-      const float* rp = src + static_cast<std::size_t>(y + 1) * w;
-      float* gxr = gx + static_cast<std::size_t>(y) * w;
-      float* gyr = gy + static_cast<std::size_t>(y) * w;
-      ops.sobel_row(rm, rc, rp, gxr, gyr, w);
-      border_pixel_pair(w - 1, y);
+  for (int y = 0; y < h; ++y) {
+    if (y == 0 || y == h - 1 || w < 3) {
+      for (int x = 0; x < w; ++x) border_pixel_pair(x, y);
+      continue;
     }
-  });
+    border_pixel_pair(0, y);
+    // Interior: three raw row pointers, no bounds checks, dispatched to
+    // the SIMD tier. Same per-element operand order as the clamped
+    // expression => identical floats.
+    const float* rm = src + static_cast<std::size_t>(y - 1) * w;
+    const float* rc = src + static_cast<std::size_t>(y) * w;
+    const float* rp = src + static_cast<std::size_t>(y + 1) * w;
+    float* gxr = gx + static_cast<std::size_t>(y) * w;
+    float* gyr = gy + static_cast<std::size_t>(y) * w;
+    ops.sobel_row(rm, rc, rp, gxr, gyr, w);
+    border_pixel_pair(w - 1, y);
+  }
 }
 
 ImageF32 downsample2(const ImageF32& img, const KernelConfig& config) {
@@ -316,12 +246,8 @@ ImageF32 downsample2(const ImageF32& img, const KernelConfig& config) {
   const int w2 = (w + 1) / 2;
   const int h2 = (h + 1) / 2;
   ImageF32 out(w2, h2);
-  const float* src = img.pixels().data();
-  float* dst = out.pixels().data();
-  const simd::SimdOps& ops = simd::ops_for(config);
-  parallel_rows(h2, config, [&](int oy0, int oy1) {
-    downsample2_rect_impl(src, w, h, dst, 0, oy0, w2, oy1, ops);
-  });
+  downsample2_rect_impl(img.pixels().data(), w, h, out.pixels().data(), 0, 0,
+                        w2, h2, simd::ops_for(config));
   return out;
 }
 

@@ -22,16 +22,15 @@ float sample_bilinear(const float* pix, int w, int h, float x, float y);
 float sample_bilinear(const std::uint8_t* pix, int w, int h, float x, float y);
 
 /// Converts an 8-bit image to float (values keep their 0..255 range).
-ImageF32 to_float(const ImageU8& img, const KernelConfig& config = {});
+ImageF32 to_float(const ImageU8& img);
 
 /// Converts a float image back to 8-bit with clamping to [0,255].
 ImageU8 to_u8(const ImageF32& img);
 
-/// Separable 3x3 binomial (Gaussian-like, kernel [1 2 1]/4) smoothing.
-ImageF32 smooth3(const ImageF32& img, const KernelConfig& config = {});
-
-/// 5x5 Gaussian smoothing (separable [1 4 6 4 1]/16).
-ImageF32 smooth5(const ImageF32& img, const KernelConfig& config = {});
+// Every kernel below runs on the calling thread. The tracker calls the
+// tile forms (`sobel_plane` on Shi-Tomasi's box tiles, `downsample2_rect`
+// on the lazy pyramid's); the whole-frame `sobel` and `downsample2` are
+// the oracles the tiles are tested against.
 
 /// Horizontal/vertical image derivatives using the 3x3 Sobel operator,
 /// scaled by 1/8 so that a unit intensity ramp has unit gradient. The
@@ -52,9 +51,9 @@ void sobel_plane(const float* src, int w, int h, float* grad_x, float* grad_y,
 ///
 /// Smoothing and decimation are fused into one pass over the output rows
 /// (rolling 4-row window of the horizontal filter, no full-resolution
-/// intermediate image); the arithmetic matches the unfused
-/// smooth3-then-average formulation term for term, so results are
-/// bit-identical to the historical implementation.
+/// intermediate image); the arithmetic matches the unfused formulation (a
+/// clamped separable [1 2 1]/4 smooth, then the 2x2 mean) term for term,
+/// so results are bit-identical to the historical implementation.
 ImageF32 downsample2(const ImageF32& img, const KernelConfig& config = {});
 
 /// Output columns [x0, x1) and rows [y0, y1) of `downsample2` of the

@@ -1,46 +1,10 @@
 #include "vision/kernel_config.h"
 
-#include <algorithm>
-
 #include "obs/telemetry.h"
 #include "util/thread_pool.h"
 #include "vision/simd/dispatch.h"
 
 namespace adavp::vision {
-
-int KernelConfig::resolved_threads() const {
-  if (num_threads <= 0) return util::ThreadPool::default_concurrency();
-  return num_threads;
-}
-
-namespace {
-
-void dispatch(int count, int grain, const KernelConfig& config,
-              const std::function<void(int, int)>& body) {
-  if (count <= 0) return;
-  const int threads = config.resolved_threads();
-  if (threads <= 1 || count <= grain) {
-    body(0, count);
-    return;
-  }
-  util::ThreadPool::shared().parallel_for(
-      0, count, grain, threads,
-      [&body](std::int64_t lo, std::int64_t hi) {
-        body(static_cast<int>(lo), static_cast<int>(hi));
-      });
-}
-
-}  // namespace
-
-void parallel_rows(int rows, const KernelConfig& config,
-                   const std::function<void(int, int)>& body) {
-  dispatch(rows, std::max(1, config.min_rows_per_task), config, body);
-}
-
-void parallel_points(int count, const KernelConfig& config,
-                     const std::function<void(int, int)>& body) {
-  dispatch(count, std::max(1, config.min_points_per_task), config, body);
-}
 
 void publish_pool_metrics() {
   if (!obs::Telemetry::enabled()) return;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 
 #include "obs/telemetry.h"
 #include "util/scratch_arena.h"
+#include "util/thread_pool.h"
 #include "vision/image_ops.h"
 #include "vision/simd/dispatch.h"
 #include "vision/simd/kernels_ref.h"
@@ -13,6 +15,10 @@
 namespace adavp::vision {
 
 namespace {
+
+/// LK's splitting grain: a point costs a whole pyramid descent with up to
+/// `max_iterations` Newton steps per level, so each one is worth a chunk.
+constexpr std::int64_t kPointsPerChunk = 1;
 
 struct GradientWindow {
   // Spatial gradient (structure tensor) accumulated over the window.
@@ -291,7 +297,7 @@ void calc_optical_flow_pyr_lk(const ImagePyramid& prev, const ImagePyramid& next
   const TrackPointFn track = select_track_fn(params.window_radius);
   const simd::SimdOps& ops = simd::ops_for(kernels);
 
-  parallel_points(static_cast<int>(points.size()), kernels, [&](int i0, int i1) {
+  const auto track_range = [&](std::int64_t i0, std::int64_t i1) {
     // Per-thread gradient caches, reused across every point and level in
     // the chunk — the hot loop never touches the heap. 32-byte aligned so
     // the AVX2 samplers store full vectors.
@@ -301,12 +307,21 @@ void calc_optical_flow_pyr_lk(const ImagePyramid& prev, const ImagePyramid& next
     float* ixs = arena.alloc_aligned<float>(window_count, 32);
     float* iys = arena.alloc_aligned<float>(window_count, 32);
     float* jvals = arena.alloc_aligned<float>(window_count, 32);
-    for (int i = i0; i < i1; ++i) {
-      track(prev, next, levels, params, ops, points[static_cast<std::size_t>(i)],
-            ivals, ixs, iys, jvals, out_points[static_cast<std::size_t>(i)],
-            out_status[static_cast<std::size_t>(i)]);
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      track(prev, next, levels, params, ops, points[k], ivals, ixs, iys, jvals,
+            out_points[k], out_status[k]);
     }
-  });
+  };
+  const auto count = static_cast<std::int64_t>(points.size());
+  if (kernels.num_threads == 1 || count <= kPointsPerChunk) {
+    track_range(0, count);
+  } else {
+    // By reference: std::function then holds the body without allocating.
+    util::ThreadPool::shared().parallel_for(0, count, kPointsPerChunk,
+                                            kernels.num_threads,
+                                            std::cref(track_range));
+  }
   publish_pool_metrics();
 }
 

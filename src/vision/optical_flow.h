@@ -31,11 +31,14 @@ struct FlowStatus {
 /// ill-conditioned (textureless window), are flagged `tracked == false`;
 /// their output position is the best estimate reached before failure.
 ///
-/// Points are independent, so the work is split across the shared kernel
-/// pool per `kernels`; every thread count (including the serial
-/// `num_threads == 1` path) produces bit-identical results. Per-thread
-/// gradient caches come from the thread's ScratchArena — the level loop
-/// performs no heap allocation.
+/// Points are independent: this is the vision layer's one parallel
+/// region. `kernels.num_threads` splits them on the shared util::ThreadPool
+/// one point per chunk (`1` runs them on the calling thread without
+/// touching the pool); every thread count produces bit-identical results.
+/// The pyramid tiles a window reads are built by the thread that tracks
+/// it. Per-thread gradient caches come from the thread's ScratchArena; a
+/// call with warm pyramids and reused output vectors performs no heap
+/// allocation.
 void calc_optical_flow_pyr_lk(const ImagePyramid& prev, const ImagePyramid& next,
                               const std::vector<geometry::Point2f>& points,
                               std::vector<geometry::Point2f>& out_points,

@@ -50,12 +50,6 @@ struct SimdOps {
   void (*filter_row)(const float* src, float* dst, int x0, int x1,
                      const float* kernel, int radius, float norm);
 
-  /// Vertical convolution on interior rows: for x in [0, w)
-  ///   dst[x] = (sum_k kernel[k + radius] * center[k * stride + x]) / norm.
-  /// `center` points at the middle tap's row; all taps must be in bounds.
-  void (*filter_col)(const float* center, std::ptrdiff_t stride, float* dst,
-                     int w, const float* kernel, int radius, float norm);
-
   /// Sobel interior row (x in [1, w - 1)), rm/rc/rp = rows y-1, y, y+1.
   void (*sobel_row)(const float* rm, const float* rc, const float* rp,
                     float* gx, float* gy, int w);

@@ -82,22 +82,6 @@ void filter_row_avx2(const float* src, float* dst, int x0, int x1,
   ref::filter_row(src, dst, x, x1, kernel, radius, norm);
 }
 
-void filter_col_avx2(const float* center, std::ptrdiff_t stride, float* dst,
-                     int w, const float* kernel, int radius, float norm) {
-  const Normalize normalize(norm);
-  int x = 0;
-  for (; x + 8 <= w; x += 8) {
-    __m256 acc = _mm256_setzero_ps();
-    for (int k = -radius; k <= radius; ++k) {
-      const __m256 kv = _mm256_set1_ps(kernel[k + radius]);
-      acc = _mm256_add_ps(
-          acc, _mm256_mul_ps(kv, _mm256_loadu_ps(center + k * stride + x)));
-    }
-    _mm256_storeu_ps(dst + x, normalize(acc));
-  }
-  ref::filter_col(center + x, stride, dst + x, w - x, kernel, radius, norm);
-}
-
 void sobel_row_avx2(const float* rm, const float* rc, const float* rp,
                     float* gx, float* gy, int w) {
   const __m256 two = _mm256_set1_ps(2.0f);
@@ -598,7 +582,7 @@ void noise_row_avx2(std::uint64_t seed, std::int64_t a0, std::int64_t b, int n,
 
 const SimdOps* avx2_ops() {
   static const SimdOps ops = {
-      Isa::kAvx2,          filter_row_avx2,  filter_col_avx2,
+      Isa::kAvx2,          filter_row_avx2,
       sobel_row_avx2,      downsample_row_avx2, min_eig_row_avx2,
       lk_sample_window_avx2<float>, lk_sample_patch_avx2<float>,
       lk_sample_window_avx2<std::uint8_t>, lk_sample_patch_avx2<std::uint8_t>,

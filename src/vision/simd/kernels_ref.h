@@ -28,17 +28,6 @@ inline void filter_row(const float* src, float* dst, int x0, int x1,
   }
 }
 
-inline void filter_col(const float* center, std::ptrdiff_t stride, float* dst,
-                       int w, const float* kernel, int radius, float norm) {
-  for (int x = 0; x < w; ++x) {
-    float acc = 0.0f;
-    for (int k = -radius; k <= radius; ++k) {
-      acc += kernel[k + radius] * center[k * stride + x];
-    }
-    dst[x] = acc / norm;
-  }
-}
-
 inline void sobel_row(const float* rm, const float* rc, const float* rp,
                       float* gx, float* gy, int w) {
   for (int x = 1; x < w - 1; ++x) {

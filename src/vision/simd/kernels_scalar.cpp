@@ -7,7 +7,7 @@ namespace adavp::vision::simd {
 
 const SimdOps* scalar_ops() {
   static const SimdOps ops = {
-      Isa::kScalar,        ref::filter_row,  ref::filter_col,
+      Isa::kScalar,        ref::filter_row,
       ref::sobel_row,      ref::downsample_row, ref::min_eig_row,
       ref::lk_sample_window<float>, ref::lk_sample_patch<float>,
       ref::lk_sample_window<std::uint8_t>, ref::lk_sample_patch<std::uint8_t>,

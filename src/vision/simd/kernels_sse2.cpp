@@ -47,21 +47,6 @@ void filter_row_sse2(const float* src, float* dst, int x0, int x1,
   ref::filter_row(src, dst, x, x1, kernel, radius, norm);
 }
 
-void filter_col_sse2(const float* center, std::ptrdiff_t stride, float* dst,
-                     int w, const float* kernel, int radius, float norm) {
-  const __m128 vnorm = _mm_set1_ps(norm);
-  int x = 0;
-  for (; x + 4 <= w; x += 4) {
-    __m128 acc = _mm_setzero_ps();
-    for (int k = -radius; k <= radius; ++k) {
-      const __m128 kv = _mm_set1_ps(kernel[k + radius]);
-      acc = _mm_add_ps(acc, _mm_mul_ps(kv, _mm_loadu_ps(center + k * stride + x)));
-    }
-    _mm_storeu_ps(dst + x, _mm_div_ps(acc, vnorm));
-  }
-  ref::filter_col(center + x, stride, dst + x, w - x, kernel, radius, norm);
-}
-
 void sobel_row_sse2(const float* rm, const float* rc, const float* rp,
                     float* gx, float* gy, int w) {
   const __m128 two = _mm_set1_ps(2.0f);
@@ -159,7 +144,7 @@ void min_eig_row_sse2(const float* gxp, const float* gyp, int w, int y,
 
 const SimdOps* sse2_ops() {
   static const SimdOps ops = {
-      Isa::kSse2,          filter_row_sse2,  filter_col_sse2,
+      Isa::kSse2,          filter_row_sse2,
       sobel_row_sse2,      downsample_row_sse2, min_eig_row_sse2,
       ref::lk_sample_window<float>, ref::lk_sample_patch<float>,
       ref::lk_sample_window<std::uint8_t>, ref::lk_sample_patch<std::uint8_t>,

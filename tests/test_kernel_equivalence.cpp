@@ -1,11 +1,13 @@
-// Parallel-vs-serial equivalence of the vision kernel engine.
+// Equivalence of the vision kernel engine across thread counts, ISA tiers
+// and the lazy pyramid.
 //
-// Every kernel on the tracking hot path is row- or point-parallel with no
+// LK's points are the vision layer's one parallel region, with no
 // cross-chunk reductions, so `num_threads = 1` and `num_threads = 4` must
-// produce bit-identical images, flow vectors, and tracker boxes. These
-// tests pin that invariant (and the fused downsample2 against a literal
-// transcription of the historical smooth3-then-decimate formulation) so a
-// future kernel change that breaks reproducibility fails loudly.
+// produce bit-identical flow vectors and tracker boxes; every SIMD tier
+// must match the scalar one bit for bit. These tests pin that invariant
+// (and the fused downsample2 against a literal transcription of the
+// historical smooth-then-decimate formulation) so a future kernel change
+// that breaks reproducibility fails loudly.
 
 #include <gtest/gtest.h>
 
@@ -35,15 +37,7 @@ namespace adavp::vision {
 namespace {
 
 KernelConfig serial() { return {.num_threads = 1}; }
-KernelConfig parallel4() {
-  // Force splitting even on the small test images: four threads, tiny
-  // grains, so chunk boundaries land in the middle of rows/points.
-  KernelConfig cfg;
-  cfg.num_threads = 4;
-  cfg.min_rows_per_task = 4;
-  cfg.min_points_per_task = 1;
-  return cfg;
-}
+KernelConfig parallel4() { return {.num_threads = 4}; }
 
 ImageU8 test_frame(int w, int h, std::uint32_t seed) {
   ImageU8 img(w, h);
@@ -79,33 +73,36 @@ ImageF32 level_image(const ImagePyramid& pyr, int l) {
   return out;
 }
 
-TEST(KernelEquivalence, RowParallelKernelsAreBitExact) {
-  // Odd dimensions on one of the images exercise the clamped border taps.
-  for (const auto& frame : {test_frame(128, 96, 1), test_frame(131, 77, 2)}) {
-    const ImageF32 fs = to_float(frame, serial());
-    const ImageF32 fp = to_float(frame, parallel4());
-    expect_identical(fs, fp);
-
-    expect_identical(smooth3(fs, serial()), smooth3(fs, parallel4()));
-    expect_identical(smooth5(fs, serial()), smooth5(fs, parallel4()));
-    expect_identical(downsample2(fs, serial()), downsample2(fs, parallel4()));
-
-    ImageF32 gxs, gys, gxp, gyp;
-    sobel(fs, gxs, gys, serial());
-    sobel(fs, gxp, gyp, parallel4());
-    expect_identical(gxs, gxp);
-    expect_identical(gys, gyp);
-
-    expect_identical(min_eigenvalue_map(fs, 3, serial()),
-                     min_eigenvalue_map(fs, 3, parallel4()));
+/// The clamped separable [1 2 1]/4 smooth: rows, then columns, each output
+/// accumulated tap by tap in kernel order.
+ImageF32 reference_smooth3(const ImageF32& img) {
+  static const float kKernel[3] = {1.0f, 2.0f, 1.0f};
+  const int w = img.width();
+  const int h = img.height();
+  ImageF32 rows(w, h);
+  ImageF32 out(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      float acc = 0.0f;
+      for (int k = -1; k <= 1; ++k) acc += kKernel[k + 1] * img.at_clamped(x + k, y);
+      rows.at(x, y) = acc / 4.0f;
+    }
   }
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      float acc = 0.0f;
+      for (int k = -1; k <= 1; ++k) acc += kKernel[k + 1] * rows.at_clamped(x, y + k);
+      out.at(x, y) = acc / 4.0f;
+    }
+  }
+  return out;
 }
 
-/// Literal transcription of the pre-engine downsample2 (full smooth3 pass,
+/// Literal transcription of the pre-engine downsample2 (full smooth pass,
 /// then 2x2 mean) — the reference the fused kernel must match bit for bit.
 ImageF32 reference_downsample2(const ImageF32& img) {
   if (img.width() < 2 || img.height() < 2) return img;
-  const ImageF32 smoothed = smooth3(img, KernelConfig{.num_threads = 1});
+  const ImageF32 smoothed = reference_smooth3(img);
   const int w = (img.width() + 1) / 2;
   const int h = (img.height() + 1) / 2;
   ImageF32 out(w, h);
@@ -127,8 +124,7 @@ TEST(KernelEquivalence, FusedDownsampleMatchesUnfusedReference) {
   const std::pair<int, int> sizes[] = {{128, 96}, {131, 77}, {33, 34}, {2, 2}};
   for (const auto& [w, h] : sizes) {
     const ImageF32 img = to_float(test_frame(w, h, 7u));
-    expect_identical(reference_downsample2(img), downsample2(img, serial()));
-    expect_identical(reference_downsample2(img), downsample2(img, parallel4()));
+    expect_identical(reference_downsample2(img), downsample2(img));
   }
 }
 
@@ -214,7 +210,8 @@ TEST(KernelEquivalence, TrackerOutputsAreIdenticalSerialVsParallel) {
 // ------------------------------------------------------- ISA matrix ----
 //
 // The SIMD tiers (DESIGN.md §14) promise bit-exactness with the scalar
-// reference, per ISA, per thread count, including every border/tail case:
+// reference, per ISA (and, for LK, per thread count), including every
+// border/tail case:
 // odd widths, images narrower than one vector, windows straddling the
 // interior/clamped split. Tiers the host CPU (or the build) lacks are
 // skipped with a logged notice rather than failed, so the same test binary
@@ -244,27 +241,22 @@ TEST(KernelIsaMatrix, RowKernelsMatchScalarBitForBit) {
                 << " unavailable on this host/build; skipping\n";
       continue;
     }
-    for (const KernelConfig& threads : {serial(), parallel4()}) {
-      const KernelConfig ref = with_isa(serial(), simd::Isa::kScalar);
-      const KernelConfig tier = with_isa(threads, isa);
-      for (const auto& [w, h] : sizes) {
-        SCOPED_TRACE(std::string(simd::isa_name(isa)) + " " +
-                     std::to_string(threads.num_threads) + "t " +
-                     std::to_string(w) + "x" + std::to_string(h));
-        const ImageF32 img = to_float(test_frame(w, h, 5u));
-        expect_identical(smooth3(img, ref), smooth3(img, tier));
-        expect_identical(smooth5(img, ref), smooth5(img, tier));
-        expect_identical(downsample2(img, ref), downsample2(img, tier));
+    const KernelConfig ref = with_isa({}, simd::Isa::kScalar);
+    const KernelConfig tier = with_isa({}, isa);
+    for (const auto& [w, h] : sizes) {
+      SCOPED_TRACE(std::string(simd::isa_name(isa)) + " " + std::to_string(w) +
+                   "x" + std::to_string(h));
+      const ImageF32 img = to_float(test_frame(w, h, 5u));
+      expect_identical(downsample2(img, ref), downsample2(img, tier));
 
-        ImageF32 gxs, gys, gxv, gyv;
-        sobel(img, gxs, gys, ref);
-        sobel(img, gxv, gyv, tier);
-        expect_identical(gxs, gxv);
-        expect_identical(gys, gyv);
+      ImageF32 gxs, gys, gxv, gyv;
+      sobel(img, gxs, gys, ref);
+      sobel(img, gxv, gyv, tier);
+      expect_identical(gxs, gxv);
+      expect_identical(gys, gyv);
 
-        expect_identical(min_eigenvalue_map(img, 3, ref),
-                         min_eigenvalue_map(img, 3, tier));
-      }
+      expect_identical(min_eigenvalue_map(img, 3, ref),
+                       min_eigenvalue_map(img, 3, tier));
     }
   }
 }
@@ -595,11 +587,11 @@ TEST(KernelEquivalence, ReferenceOnTrackedFrameMatchesFreshTracker) {
 
 std::vector<ImageF32> whole_frame_levels(const ImageU8& frame, int levels,
                                          int min_dimension) {
-  std::vector<ImageF32> out{to_float(frame, serial())};
+  std::vector<ImageF32> out{to_float(frame)};
   while (static_cast<int>(out.size()) < levels &&
          out.back().width() / 2 >= min_dimension &&
          out.back().height() / 2 >= min_dimension) {
-    out.push_back(downsample2(out.back(), serial()));
+    out.push_back(downsample2(out.back()));
   }
   return out;
 }

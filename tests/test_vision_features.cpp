@@ -131,8 +131,8 @@ std::vector<geometry::Point2f> whole_frame_good_features(
     const ImageU8& img, const GoodFeaturesParams& params, const ImageU8* mask) {
   std::vector<geometry::Point2f> corners;
   if (img.empty() || params.max_corners <= 0) return corners;
-  const ImageF32 scores = min_eigenvalue_map(to_float(img, params.kernels),
-                                             params.block_size, params.kernels);
+  const ImageF32 scores =
+      min_eigenvalue_map(to_float(img), params.block_size, params.kernels);
   float best = 0.0f;
   for (int y = 0; y < img.height(); ++y) {
     for (int x = 0; x < img.width(); ++x) {
@@ -246,13 +246,7 @@ TEST(GoodFeatures, TiledMatchesFullFrameReference) {
   for (const simd::Isa isa :
        {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
     if (simd::ops_for_isa(isa).isa != isa) continue;  // not on this host
-    for (const int threads : {1, 4}) {
-      KernelConfig cfg;
-      cfg.num_threads = threads;
-      cfg.min_rows_per_task = 4;  // split even the small frames' rows
-      cfg.isa = isa;
-      configs.push_back(cfg);
-    }
+    configs.push_back({.isa = isa});
   }
   const std::pair<int, int> sizes[] = {{96, 64}, {131, 77}, {40, 23}};
   util::Rng rng(22);
@@ -274,7 +268,6 @@ TEST(GoodFeatures, TiledMatchesFullFrameReference) {
         for (const KernelConfig& cfg : configs) {
           SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " trial " +
                        std::to_string(trial) + " " + simd::isa_name(cfg.isa) +
-                       " " + std::to_string(cfg.num_threads) + "t" +
                        (m == nullptr ? " null mask" : m == &all ? " full mask" : ""));
           params.kernels = cfg;
           const auto expected = whole_frame_good_features(img, params, m);

@@ -1,14 +1,74 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <future>
+#include <new>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "vision/image_ops.h"
 #include "vision/optical_flow.h"
 
+// Global operator new/delete replacements local to this test binary: every
+// heap allocation on any thread, the shared pool's workers included, bumps
+// the counter, so a loop's delta is its real allocation traffic.
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
+
+// Not inlined: GCC would otherwise see through them to malloc and free
+// inside gtest's own new/delete pairs and warn of mismatched ones.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return operator new(size);
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace adavp::vision {
 namespace {
+
+/// Clamped separable [1 4 6 4 1]/16 blur: rows, then columns, each output
+/// accumulated tap by tap in kernel order.
+ImageF32 blur5(const ImageF32& img) {
+  static const float kKernel[5] = {1.0f, 4.0f, 6.0f, 4.0f, 1.0f};
+  const int w = img.width();
+  const int h = img.height();
+  ImageF32 rows(w, h);
+  ImageF32 out(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      float acc = 0.0f;
+      for (int k = -2; k <= 2; ++k) acc += kKernel[k + 2] * img.at_clamped(x + k, y);
+      rows.at(x, y) = acc / 16.0f;
+    }
+  }
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      float acc = 0.0f;
+      for (int k = -2; k <= 2; ++k) acc += kKernel[k + 2] * rows.at_clamped(x, y + k);
+      out.at(x, y) = acc / 16.0f;
+    }
+  }
+  return out;
+}
 
 /// Smooth random texture so Lucas-Kanade has gradients everywhere.
 ImageF32 smooth_texture(int w, int h, std::uint64_t seed) {
@@ -18,7 +78,7 @@ ImageF32 smooth_texture(int w, int h, std::uint64_t seed) {
     px = static_cast<float>(rng.uniform(0.0, 255.0));
   }
   // Heavy smoothing turns white noise into trackable blobs.
-  return smooth5(smooth5(smooth5(img)));
+  return blur5(blur5(blur5(img)));
 }
 
 /// Shifts an image by (dx, dy) with bilinear resampling.
@@ -157,6 +217,50 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(0.25f, -0.75f), std::make_tuple(1.5f, 1.0f),
                       std::make_tuple(-2.0f, 3.0f), std::make_tuple(4.0f, -4.0f),
                       std::make_tuple(6.5f, 2.5f), std::make_tuple(-8.0f, -5.0f)));
+
+// With warm pyramids and reused output vectors, LK takes its scratch from
+// each thread's arena and hands its body to the pool by reference: a call
+// allocates nothing, inline or split.
+TEST(OpticalFlow, WarmCallMakesNoHeapAllocations) {
+  const ImageF32 tex = smooth_texture(1280, 720, 29);
+  const ImagePyramid prev(to_u8(tex), 3);
+  const ImagePyramid next(shift_image(tex, 2.5f, -1.5f), 3);
+  const auto pts = grid_points(1280, 720, 40, 150);
+  const KernelConfig serial{.num_threads = 1};
+
+  // Every pool worker tracks once on a thread of its own (the tasks wait
+  // for each other, so no worker runs two), which builds the tiles and
+  // warms each worker's arena before anything is counted.
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  std::atomic<int> arrived{0};
+  std::vector<std::future<void>> warm;
+  for (int k = 0; k < pool.worker_count(); ++k) {
+    warm.push_back(pool.submit([&] {
+      arrived.fetch_add(1);
+      while (arrived.load() < pool.worker_count()) std::this_thread::yield();
+      std::vector<geometry::Point2f> out;
+      std::vector<FlowStatus> status;
+      calc_optical_flow_pyr_lk(prev, next, pts, out, status, {}, serial);
+    }));
+  }
+  for (std::future<void>& f : warm) f.wait();  // all done before any rethrows
+  for (std::future<void>& f : warm) f.get();
+
+  std::vector<geometry::Point2f> out;
+  std::vector<FlowStatus> status;
+  for (const KernelConfig& kernels : {serial, KernelConfig{.num_threads = 4}}) {
+    calc_optical_flow_pyr_lk(prev, next, pts, out, status, {}, kernels);
+    int tracked = 0;
+    for (const FlowStatus& st : status) tracked += st.tracked ? 1 : 0;
+    EXPECT_GT(tracked, static_cast<int>(pts.size()) * 3 / 4);
+    const std::uint64_t before = g_alloc_count.load();
+    for (int call = 0; call < 100; ++call) {
+      calc_optical_flow_pyr_lk(prev, next, pts, out, status, {}, kernels);
+    }
+    EXPECT_EQ(g_alloc_count.load() - before, 0u)
+        << kernels.num_threads << " thread(s)";
+  }
+}
 
 }  // namespace
 }  // namespace adavp::vision

@@ -92,27 +92,6 @@ TEST(Convert, ToU8Clamps) {
   EXPECT_EQ(out.at(1, 0), 255);
 }
 
-TEST(Smooth, PreservesConstantImage) {
-  ImageF32 img(8, 8, 42.0f);
-  const ImageF32 s3 = smooth3(img);
-  const ImageF32 s5 = smooth5(img);
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      EXPECT_NEAR(s3.at(x, y), 42.0f, 1e-4f);
-      EXPECT_NEAR(s5.at(x, y), 42.0f, 1e-4f);
-    }
-  }
-}
-
-TEST(Smooth, ReducesImpulseEnergy) {
-  ImageF32 img(9, 9, 0.0f);
-  img.at(4, 4) = 16.0f;
-  const ImageF32 s = smooth3(img);
-  EXPECT_NEAR(s.at(4, 4), 4.0f, 1e-4f);      // center weight (2*2)/16
-  EXPECT_NEAR(s.at(3, 4), 2.0f, 1e-4f);      // edge weight (1*2)/16
-  EXPECT_NEAR(s.at(3, 3), 1.0f, 1e-4f);      // corner weight (1*1)/16
-}
-
 TEST(Sobel, UnitRampHasUnitGradient) {
   ImageF32 img(8, 8);
   for (int y = 0; y < 8; ++y) {
